@@ -94,7 +94,7 @@ MemoryChannel::resetTiming()
 
 void
 MemoryChannel::lookaheadActivate(Tick now,
-                                 const std::deque<MemRequest> &queue)
+                                 const Ring<MemRequest> &queue)
 {
     size_t window = std::min(queue.size(), lookaheadWindow);
     uint64_t prev_row = noRow;
@@ -141,7 +141,7 @@ MemoryChannel::pickServeIndex(Tick now) const
 }
 
 void
-MemoryChannel::serveWord(Tick now, std::deque<MemRequest> &queue,
+MemoryChannel::serveWord(Tick now, Ring<MemRequest> &queue,
                          size_t idx)
 {
     const uint64_t row = queue[idx].row;
@@ -184,8 +184,7 @@ MemoryChannel::serveWord(Tick now, std::deque<MemRequest> &queue,
         ++taken;
     }
 
-    queue.erase(queue.begin() + long(idx),
-                queue.begin() + long(idx + taken));
+    queue.erase(idx, taken);
 
     // One controller transaction moved `packed` elements' bits over
     // the DRAM interface (duplicates ride the broadcast for free).
@@ -309,8 +308,8 @@ MemoryChannel::tick(Tick now)
 
     if (drainWrites_) {
         // Writes drain strictly in order.
-        uint64_t row = rowOf(writeQueue_.front().addr);
-        unsigned bank = bankOf(writeQueue_.front().addr);
+        const uint64_t row = writeQueue_.front().row;
+        const unsigned bank = writeQueue_.front().bank;
         if (now >= bankReady_[bank] && openRow_[bank] == row) {
             serveWord(now, writeQueue_, 0);
             NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,

@@ -11,13 +11,19 @@
  * and are overlapped with ongoing bursts through a small lookahead
  * window across banks, which models hit-under-activate in a
  * multi-bank vault.
+ *
+ * The read queue, write buffer and response queue are order-
+ * preserving power-of-two rings (noc/packet_ring.hh): the per-tick
+ * lookahead and FR-FCFS scans index them directly, and serving a
+ * row hit from the middle of the read queue closes the gap by
+ * shifting the shorter side. Each request caches its row and bank at
+ * enqueue, so no scan divides.
  */
 
 #ifndef NEUROCUBE_DRAM_MEMORY_CHANNEL_HH
 #define NEUROCUBE_DRAM_MEMORY_CHANNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +33,7 @@
 #include "common/wake.hh"
 #include "dram/backing_store.hh"
 #include "dram/dram_params.hh"
+#include "noc/packet_ring.hh"
 #include "trace/trace.hh"
 
 namespace neurocube
@@ -129,7 +136,7 @@ class MemoryChannel
     void skipTicks(Tick from, Tick to);
 
     /** Serviced reads, in order; consumer pops from the front. */
-    std::deque<MemResponse> &responses() { return responses_; }
+    Ring<MemResponse> &responses() { return responses_; }
 
     /** True when no serviced read awaits its consumer. */
     bool responsesEmpty() const { return responses_.empty(); }
@@ -196,7 +203,7 @@ class MemoryChannel
     /** Row index of an element address. */
     uint64_t rowOf(Addr addr) const { return addr / rowElements_; }
     /**
-     * Bank an element address maps to. The row index is hashed so
+     * Bank a DRAM row maps to. The row index is hashed so
      * that independent sequential streams (states vs weights) rarely
      * fall into lock-step same-bank conflicts.
      */
@@ -206,11 +213,8 @@ class MemoryChannel
         return unsigned((row ^ (row >> 4)) % params_.banksPerChannel);
     }
 
-    unsigned bankOf(Addr addr) const { return bankOfRow(rowOf(addr)); }
-
     /** Start pre-activations for upcoming rows in idle banks. */
-    void lookaheadActivate(Tick now,
-                           const std::deque<MemRequest> &queue);
+    void lookaheadActivate(Tick now, const Ring<MemRequest> &queue);
 
     /**
      * Pick the queue index to serve this tick: the head when its row
@@ -224,8 +228,7 @@ class MemoryChannel
     size_t pickServeIndex(Tick now) const;
 
     /** Serve up to one word's worth of requests starting at idx. */
-    void serveWord(Tick now, std::deque<MemRequest> &queue,
-                   size_t idx);
+    void serveWord(Tick now, Ring<MemRequest> &queue, size_t idx);
 
     /** Requests inspected for out-of-order row hits. */
     static constexpr size_t reorderWindow = 48;
@@ -235,15 +238,23 @@ class MemoryChannel
     /** Vault/channel index published with trace events. */
     uint16_t traceId_;
 
-    std::deque<MemRequest> queue_;
-    std::deque<MemRequest> writeQueue_;
+    /**
+     * Read queue and write buffer: the lookahead and FR-FCFS scans
+     * index them every tick, and service erases a run from the
+     * middle of the read queue. These rings and responses_ start
+     * empty and grow to their working size on first use, which
+     * keeps building a machine cheap.
+     */
+    Ring<MemRequest> queue_;
+    Ring<MemRequest> writeQueue_;
     /** Reference counts of buffered write addresses (RAW guard). */
     std::unordered_map<Addr, unsigned> bufferedWrites_;
     /** Currently draining the write buffer. */
     bool drainWrites_ = false;
     /** A queued read depends on a buffered write: drain fully. */
     bool hazardDrain_ = false;
-    std::deque<MemResponse> responses_;
+    /** Serviced reads awaiting the PNG. */
+    Ring<MemResponse> responses_;
 
     /**
      * Tick of the last tick() call; stamps requests accepted between

@@ -216,12 +216,6 @@ NocFabric::setLaneMap(std::vector<uint16_t> lane_of)
     laneOf_ = std::move(lane_of);
 }
 
-unsigned
-NocFabric::memInjectSpace(VaultId v) const
-{
-    return routers_[v]->inputSpace(memPort_[v]);
-}
-
 void
 NocFabric::injectFromMem(VaultId v, const Packet &packet, Tick now)
 {
@@ -233,12 +227,6 @@ NocFabric::injectFromMem(VaultId v, const Packet &packet, Tick now)
     p.injectTick = now;
     accountInjection(v, p);
     routers_[v]->pushInput(memPort_[v], p);
-}
-
-unsigned
-NocFabric::peInjectSpace(PeId p) const
-{
-    return routers_[p]->inputSpace(pePort_[p]);
 }
 
 void

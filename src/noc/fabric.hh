@@ -64,12 +64,22 @@ class NocFabric
     NocFabric(const Config &config, StatGroup *parent);
 
     /** Space available for PNG injection at node v. */
-    unsigned memInjectSpace(VaultId v) const;
+    unsigned
+    memInjectSpace(VaultId v) const
+    {
+        return routers_[v]->inputSpace(memPort_[v]);
+    }
+
     /** Inject a packet from the PNG at node v. */
     void injectFromMem(VaultId v, const Packet &packet, Tick now);
 
     /** Space available for PE injection at node p. */
-    unsigned peInjectSpace(PeId p) const;
+    unsigned
+    peInjectSpace(PeId p) const
+    {
+        return routers_[p]->inputSpace(pePort_[p]);
+    }
+
     /** Inject a packet from the PE at node p. */
     void injectFromPe(PeId p, const Packet &packet, Tick now);
 

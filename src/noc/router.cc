@@ -13,12 +13,14 @@ Router::Router(const Config &config, StatGroup *parent,
       inputQueue_(config.numPorts, PacketRing(config.bufferDepth)),
       outputQueue_(config.numPorts, PacketRing(config.bufferDepth)),
       routeTable_(2 * config.numNodes, ~0u),
+      width_(config.portWidth), outBudget_(config.numPorts),
       statGroup_(parent, name),
       statSwitched_(&statGroup_, "switched", "packets switched"),
       statBlocked_(&statGroup_, "blocked",
                    "input-port cycles blocked on a full output")
 {
     nc_assert(config_.numPorts >= 2, "router needs at least 2 ports");
+    width_.resize(config_.numPorts, 1);
 }
 
 void
@@ -29,19 +31,6 @@ Router::setRoute(unsigned route_index, unsigned out_port)
     nc_assert(out_port < config_.numPorts,
               "out port %u out of range", out_port);
     routeTable_[route_index] = out_port;
-}
-
-void
-Router::pushInput(unsigned port, const Packet &packet)
-{
-    nc_assert(port < config_.numPorts, "bad input port %u", port);
-    nc_assert(inputSpace(port) > 0,
-              "push into full input FIFO (credit violation)");
-    inputQueue_[port].push_back(packet);
-    ++bufferedInputs_;
-    NC_TRACE(TraceComponent::Router, traceId_,
-             TraceEventType::FlitEnqueue, port,
-             inputQueue_[port].size());
 }
 
 void
@@ -64,25 +53,24 @@ Router::tick()
         // that wait is the link's cycle, not this crossbar's.
         NC_METRIC_CYCLE(TraceComponent::Router, traceId_,
                         idle() ? StallClass::Idle : StallClass::Busy);
-        priority_ = (priority_ + 1) % nports;
+        advancePriority();
         return;
     }
 
     // Remaining output enqueue slots this cycle (crossbar width).
-    outBudget_.resize(nports);
-    for (unsigned p = 0; p < nports; ++p) {
-        unsigned width = portWidth(p);
-        unsigned space = outputSpace(p);
-        outBudget_[p] = std::min(width, space);
-    }
+    for (unsigned p = 0; p < nports; ++p)
+        outBudget_[p] = std::min(width_[p], outputSpace(p));
 
     // Visit inputs in rotating daisy-chain priority order.
     bool blocked = false;
-    for (unsigned i = 0; i < nports; ++i) {
-        unsigned in = (priority_ + i) % nports;
-        unsigned in_budget = portWidth(in);
-        while (in_budget > 0 && !inputQueue_[in].empty()) {
-            const Packet &head = inputQueue_[in].front();
+    unsigned in = priority_;
+    for (unsigned i = 0; i < nports && bufferedInputs_ > 0; ++i, ++in) {
+        if (in == nports)
+            in = 0;
+        PacketRing &input = inputQueue_[in];
+        for (unsigned in_budget = width_[in];
+             in_budget > 0 && !input.empty(); --in_budget) {
+            const Packet &head = input.front();
             unsigned idx = routeIndex(head.dst, head.dstIsMem,
                                       config_.numNodes);
             nc_assert(idx < routeTable_.size(),
@@ -100,11 +88,10 @@ Router::tick()
                 break;
             }
             outputQueue_[out].push_back(head);
-            inputQueue_[in].pop_front();
+            input.pop_front();
             --bufferedInputs_;
             ++bufferedOutputs_;
             --outBudget_[out];
-            --in_budget;
             statSwitched_ += 1;
             NC_ENERGY_EVENT(EnergyEventKind::NocHop, traceId_, 1);
             NC_TRACE(TraceComponent::Router, traceId_,
@@ -122,7 +109,7 @@ Router::tick()
                             : StallClass::Busy);
 
     // Rotate the daisy chain (priorities update every clock cycle).
-    priority_ = (priority_ + 1) % nports;
+    advancePriority();
 }
 
 } // namespace neurocube

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "noc/packet.hh"
@@ -102,7 +103,18 @@ class Router
     }
 
     /** Deposit a packet into an input FIFO. @pre inputSpace(port)>0 */
-    void pushInput(unsigned port, const Packet &packet);
+    void
+    pushInput(unsigned port, const Packet &packet)
+    {
+        nc_assert(port < config_.numPorts, "bad input port %u", port);
+        nc_assert(inputSpace(port) > 0,
+                  "push into full input FIFO (credit violation)");
+        inputQueue_[port].push_back(packet);
+        ++bufferedInputs_;
+        NC_TRACE(TraceComponent::Router, traceId_,
+                 TraceEventType::FlitEnqueue, port,
+                 inputQueue_[port].size());
+    }
 
     /** Total packets currently waiting in input FIFOs. */
     unsigned bufferedInputs() const { return bufferedInputs_; }
@@ -145,24 +157,28 @@ class Router
     const Config &config() const { return config_; }
 
     /** Width of a port in packets per cycle. */
-    unsigned
-    portWidth(unsigned port) const
-    {
-        if (port < config_.portWidth.size())
-            return config_.portWidth[port];
-        return 1;
-    }
+    unsigned portWidth(unsigned port) const { return width_[port]; }
 
   private:
+    /** Step the daisy-chain priority to the next input port. */
+    void
+    advancePriority()
+    {
+        if (++priority_ == config_.numPorts)
+            priority_ = 0;
+    }
+
     Config config_;
     /** Node index published with trace events. */
     uint16_t traceId_;
     std::vector<PacketRing> inputQueue_;
     std::vector<PacketRing> outputQueue_;
     std::vector<unsigned> routeTable_;
+    /** Per-port width, config_.portWidth padded with 1s. */
+    std::vector<unsigned> width_;
     /** Daisy-chain priority pointer, advanced every cycle. */
     unsigned priority_ = 0;
-    /** Scratch per-output budget, reused each cycle. */
+    /** Scratch per-output budget (numPorts), reused each cycle. */
     std::vector<unsigned> outBudget_;
     /** Packets currently in input FIFOs (fast empty check). */
     unsigned bufferedInputs_ = 0;

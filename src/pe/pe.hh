@@ -200,6 +200,8 @@ class Pe
     bool passComplete_ = true;
 
     PacketRing outbox_;
+    /** Scratch for drainCache's matches, reused across flushes. */
+    std::vector<Packet> matches_;
 
     Stat statMacOps_;
     Stat statFlushes_;

@@ -51,6 +51,7 @@ class TemporalBuffer
         nc_assert(!slot.hasState,
                   "duplicate state operand for MAC %u", unsigned(mac));
         slot.hasState = true;
+        numComplete_ += slot.hasWeight;
         slot.state = value;
         slot.neuron = neuron;
         slot.homeVault = home;
@@ -64,6 +65,7 @@ class TemporalBuffer
         nc_assert(!slot.hasWeight,
                   "duplicate weight operand for MAC %u", unsigned(mac));
         slot.hasWeight = true;
+        numComplete_ += slot.hasState;
         slot.weight = value;
         slot.neuron = neuron;
         slot.homeVault = home;
@@ -73,6 +75,10 @@ class TemporalBuffer
     bool
     complete(unsigned active) const
     {
+        // Fewer complete slots than active MACs (the common case
+        // while operands trickle in) settles it without a scan.
+        if (numComplete_ < active)
+            return false;
         for (unsigned m = 0; m < active; ++m) {
             if (!slots_[m].complete())
                 return false;
@@ -89,6 +95,7 @@ class TemporalBuffer
     {
         for (Slot &slot : slots_)
             slot = Slot{};
+        numComplete_ = 0;
     }
 
     /** Number of slots. */
@@ -104,6 +111,8 @@ class TemporalBuffer
     }
 
     std::vector<Slot> slots_;
+    /** Slots holding both operands. */
+    unsigned numComplete_ = 0;
 };
 
 } // namespace neurocube

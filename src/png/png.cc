@@ -21,6 +21,8 @@ Png::Png(VaultId id, const PngParams &params, MemoryChannel &channel,
       histOutQueueDepth_(&statGroup_, "outQueueDepth",
                          "packets awaiting router injection per tick")
 {
+    for (size_t i = 0; i < maxInFlight; ++i)
+        freeSlots_[i] = uint8_t(maxInFlight - 1 - i);
 }
 
 void
@@ -42,7 +44,7 @@ Png::tracePhase(PngFsmPhase phase, unsigned plane)
 void
 Png::configure(const PngProgram &program)
 {
-    nc_assert(pending_.empty() && outQueue_.empty(),
+    nc_assert(!readsInFlight() && outQueue_.empty(),
               "reprogramming PNG %u with work in flight", unsigned(id_));
     program_ = program;
     generator_.configure(program, params_.numMacs,
@@ -77,17 +79,17 @@ Png::tick(Tick now)
     unsigned issued = 0;
     while (issued < params_.maxIssuePerTick && !generator_.done()
            && generator_.currentPlane() < allowedPlane_
-           && channel_.canAccept()
-           && pending_.size() < MemoryChannel::queueCapacity) {
-        GeneratedOp op;
+           && channel_.canAccept() && numFree_ > 0) {
+        const uint8_t slot = freeSlots_[numFree_ - 1];
+        GeneratedOp &op = inFlight_[slot];
         if (!generator_.next(op))
             break;
+        --numFree_;
         MemRequest req;
         req.write = false;
         req.addr = op.addr;
-        req.tag = nextTag_++;
+        req.tag = slot;
         channel_.enqueue(req);
-        pending_.push_back({req.tag, op});
         ++issued;
         statIssued_ += 1;
     }
@@ -98,20 +100,15 @@ Png::tick(Tick now)
     }
 
     // 2. Encapsulate returned data into packets. Completions may be
-    // out of order within the vault controller's reorder window, so
-    // match by tag.
+    // out of order within the vault controller's reorder window; the
+    // tag is the in-flight slot of the request.
     auto &responses = channel_.responses();
     while (!responses.empty()
            && outQueue_.size() < params_.outQueueDepth) {
         const MemResponse &resp = responses.front();
-        nc_assert(!pending_.empty(), "response without a pending read");
-        size_t match = 0;
-        while (match < pending_.size()
-               && pending_[match].tag != resp.tag)
-            ++match;
-        nc_assert(match < pending_.size(),
+        nc_assert(resp.tag < maxInFlight && readsInFlight(),
                   "unmatched response tag at PNG %u", unsigned(id_));
-        const GeneratedOp &op = pending_[match].op;
+        const GeneratedOp &op = inFlight_[resp.tag];
         Packet packet;
         packet.kind = op.kind;
         packet.src = id_;
@@ -124,8 +121,7 @@ Png::tick(Tick now)
         packet.homeVault = op.homeVault;
         packet.data = resp.data;
         outQueue_.push_back(packet);
-        pending_[match] = pending_.back();
-        pending_.pop_back();
+        freeSlots_[numFree_++] = uint8_t(resp.tag);
         responses.pop_front();
     }
 
@@ -195,7 +191,7 @@ Png::tick(Tick now)
     } else if (!generator_.done()
                && generator_.currentPlane() >= allowedPlane_) {
         cls = StallClass::Idle;
-    } else if (!generator_.done() || !pending_.empty()) {
+    } else if (!generator_.done() || readsInFlight()) {
         // Wants to issue (or has reads in flight) but the vault
         // controller is not accepting / has not responded.
         cls = StallClass::StallDram;
@@ -221,7 +217,7 @@ Png::done() const
 {
     if (!program_.enabled)
         return true;
-    return generator_.done() && pending_.empty() && outQueue_.empty()
+    return generator_.done() && !readsInFlight() && outQueue_.empty()
         && wbReceived_ >= program_.expectedWriteBacks;
 }
 
@@ -264,7 +260,7 @@ Png::skipTicks(Tick from, Tick to)
     if (!generator_.done()
         && generator_.currentPlane() >= allowedPlane_) {
         cls = StallClass::Idle; // plane-throttled: waiting on PEs
-    } else if (!generator_.done() || !pending_.empty()) {
+    } else if (!generator_.done() || readsInFlight()) {
         cls = StallClass::StallDram;
     } else {
         cls = StallClass::Idle;

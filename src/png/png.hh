@@ -17,8 +17,8 @@
 #ifndef NEUROCUBE_PNG_PNG_HH
 #define NEUROCUBE_PNG_PNG_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -135,24 +135,23 @@ class Png
     AddressGenerator generator_;
     const Lut *lut_;
 
-    /** One read in flight. */
-    struct PendingRead
-    {
-        uint64_t tag;
-        GeneratedOp op;
-    };
+    /** Reads in flight, capped by the vault's read queue. */
+    static constexpr size_t maxInFlight = MemoryChannel::queueCapacity;
+    static_assert(maxInFlight <= 256, "slot indices are 8-bit");
 
     /**
-     * Metadata for reads in flight. The vault controller may
-     * complete row hits out of order (FR-FCFS), so responses are
-     * matched by tag within this window. Unordered: matches are
-     * removed by swap-with-back, which keeps removal O(1) — nothing
-     * observable depends on the order of in-flight entries.
+     * Metadata of the reads in flight, one slot per read. A read's
+     * channel tag is its slot index, so a response — which the vault
+     * controller may return out of issue order (FR-FCFS row hits) —
+     * finds its request by direct lookup. Free slots are kept on a
+     * stack; which slot a read gets is unobservable.
      */
-    std::vector<PendingRead> pending_;
+    std::array<GeneratedOp, maxInFlight> inFlight_{};
+    /** Free slot indices; freeSlots_[0, numFree_) are available. */
+    std::array<uint8_t, maxInFlight> freeSlots_{};
+    size_t numFree_ = maxInFlight;
     /** Encapsulated packets awaiting router injection. */
     PacketRing outQueue_;
-    uint64_t nextTag_ = 0;
     uint64_t wbReceived_ = 0;
 
     /** Write-backs per output plane (0 = no plane throttling). */
@@ -170,9 +169,11 @@ class Png
     {
         return !generator_.done()
             && generator_.currentPlane() < allowedPlane_
-            && channel_.canAccept()
-            && pending_.size() < MemoryChannel::queueCapacity;
+            && channel_.canAccept() && numFree_ > 0;
     }
+
+    /** True while any issued read awaits its response. */
+    bool readsInFlight() const { return numFree_ < maxInFlight; }
 
     StatGroup statGroup_;
     Stat statIssued_;

@@ -78,21 +78,18 @@ EnergyRegistry::reset()
 namespace energy
 {
 
-namespace
+namespace detail
 {
-EnergyRegistry *g_activeRegistry = nullptr;
-} // namespace
 
-EnergyRegistry *
-activeRegistry()
-{
-    return g_activeRegistry;
-}
+/** The process-wide registry slot NC_ENERGY_EVENT loads. */
+EnergyRegistry *g_activeRegistry = nullptr;
+
+} // namespace detail
 
 void
 setActiveRegistry(EnergyRegistry *registry)
 {
-    g_activeRegistry = registry;
+    detail::g_activeRegistry = registry;
 }
 
 } // namespace energy

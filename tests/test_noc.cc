@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "common/rng.hh"
 #include "noc/fabric.hh"
 #include "noc/packet.hh"
+#include "noc/packet_ring.hh"
 #include "noc/router.hh"
 
 namespace neurocube
@@ -261,6 +265,140 @@ TEST(Router, RotatingArbiterBoundsWaitingTime)
         EXPECT_EQ(seen, (1u << Inputs) - 1)
             << "input starved in the grant window at " << start;
     }
+}
+
+TEST(Router, PortWidthsPadToOnePacketPerCycle)
+{
+    // Ports past the configured width list are one packet wide; a
+    // two-wide input drains two packets per cycle into a two-wide
+    // output.
+    Router::Config rc;
+    rc.numPorts = 4;
+    rc.bufferDepth = 8;
+    rc.numNodes = 2;
+    rc.portWidth = {2, 2};
+    StatGroup root(nullptr, "t");
+    Router router(rc, &root, "r");
+    router.setRoute(routeIndex(0, false, 2), 1);
+    router.setRoute(routeIndex(1, false, 2), 3);
+    EXPECT_EQ(router.portWidth(0), 2u);
+    EXPECT_EQ(router.portWidth(3), 1u);
+
+    for (int i = 0; i < 4; ++i) {
+        router.pushInput(0, operandTo(0));
+        router.pushInput(2, operandTo(1));
+    }
+    router.tick();
+    EXPECT_EQ(router.outputQueue(1).size(), 2u);
+    EXPECT_EQ(router.outputQueue(3).size(), 1u);
+    EXPECT_EQ(router.bufferedInputs(), 5u);
+}
+
+/** Assert that a ring holds exactly the reference's elements. */
+void
+expectSameContents(const Ring<int> &ring, const std::deque<int> &ref)
+{
+    ASSERT_EQ(ring.size(), ref.size());
+    for (size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(ring[i], ref[i]) << "element " << i;
+    if (!ref.empty()) {
+        EXPECT_EQ(ring.front(), ref.front());
+    }
+}
+
+/** Apply erase(idx, n) to the ring and the same range to the ref. */
+void
+eraseBoth(Ring<int> &ring, std::deque<int> &ref, size_t idx, size_t n)
+{
+    ring.erase(idx, n);
+    ref.erase(ref.begin() + long(idx), ref.begin() + long(idx + n));
+}
+
+TEST(Ring, EraseMatchesDequeAtEveryPositionAndWrap)
+{
+    // Every (idx, n) range of a 7-element ring of capacity 8, with
+    // the head at every offset, so front, middle and back erases are
+    // each tried both inside the buffer and across the wrap point.
+    constexpr size_t Cap = 8;
+    constexpr size_t Len = 7;
+    for (size_t head = 0; head < Cap; ++head) {
+        for (size_t idx = 0; idx <= Len; ++idx) {
+            for (size_t n = 0; idx + n <= Len; ++n) {
+                Ring<int> ring(Cap);
+                for (size_t i = 0; i < head; ++i) {
+                    ring.push_back(-1);
+                    ring.pop_front();
+                }
+                std::deque<int> ref;
+                for (size_t i = 0; i < Len; ++i) {
+                    ring.push_back(int(i));
+                    ref.push_back(int(i));
+                }
+                eraseBoth(ring, ref, idx, n);
+                expectSameContents(ring, ref);
+                // The ring stays a working FIFO after the erase.
+                ring.push_back(100);
+                ref.push_back(100);
+                ring.pop_front();
+                ref.pop_front();
+                expectSameContents(ring, ref);
+            }
+        }
+    }
+}
+
+TEST(Ring, EraseAcrossGrowMatchesDeque)
+{
+    // Start wrapped in the smallest buffer, overflow it twice so it
+    // relinearizes, then erase at the front, middle and back.
+    Ring<int> ring(4);
+    std::deque<int> ref;
+    ring.push_back(-1);
+    ring.push_back(-1);
+    ring.pop_front();
+    ring.pop_front();
+    for (int i = 0; i < 13; ++i) {
+        ring.push_back(i);
+        ref.push_back(i);
+    }
+    expectSameContents(ring, ref);
+    eraseBoth(ring, ref, 0, 2);
+    expectSameContents(ring, ref);
+    eraseBoth(ring, ref, 4, 3);
+    expectSameContents(ring, ref);
+    eraseBoth(ring, ref, ref.size() - 2, 2);
+    expectSameContents(ring, ref);
+    for (int i = 13; i < 40; ++i) {
+        ring.push_back(i);
+        ref.push_back(i);
+    }
+    eraseBoth(ring, ref, 10, 20);
+    expectSameContents(ring, ref);
+}
+
+TEST(Ring, RandomOperationsMatchDeque)
+{
+    Rng rng(7);
+    Ring<int> ring(8);
+    std::deque<int> ref;
+    int next = 0;
+    for (int step = 0; step < 20000; ++step) {
+        uint64_t op = rng.below(4);
+        if (op <= 1 || ref.empty()) {
+            ring.push_back(next);
+            ref.push_back(next);
+            ++next;
+        } else if (op == 2) {
+            ring.pop_front();
+            ref.pop_front();
+        } else {
+            size_t idx = size_t(rng.below(ref.size()));
+            size_t n = size_t(rng.below(ref.size() - idx + 1));
+            eraseBoth(ring, ref, idx, n);
+        }
+        ASSERT_EQ(ring.size(), ref.size()) << "step " << step;
+    }
+    expectSameContents(ring, ref);
 }
 
 TEST(Router, CreditViolationAsserts)

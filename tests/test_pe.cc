@@ -40,6 +40,18 @@ TEST(TemporalBuffer, CompleteRequiresBothOperands)
     buf.putWeight(0, Fixed::fromDouble(2.0), 0, 0);
     EXPECT_TRUE(buf.complete(1));
     EXPECT_FALSE(buf.complete(2));
+
+    // A complete slot beyond the active range does not stand in for
+    // an incomplete one inside it, and a flush starts over.
+    buf.flush();
+    buf.putWeight(3, Fixed::fromDouble(1.0), 0, 0);
+    buf.putState(3, Fixed::fromDouble(1.0), 0, 0);
+    EXPECT_FALSE(buf.complete(1));
+    buf.putWeight(0, Fixed::fromDouble(1.0), 0, 0);
+    buf.putState(0, Fixed::fromDouble(1.0), 0, 0);
+    EXPECT_TRUE(buf.complete(1));
+    buf.flush();
+    EXPECT_FALSE(buf.complete(1));
 }
 
 TEST(TemporalBuffer, DuplicateOperandPanics)

@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
+#include <tuple>
 
+#include "dram/memory_channel.hh"
+#include "noc/fabric.hh"
 #include "png/address_generator.hh"
 #include "png/counters.hh"
 #include "png/lut.hh"
+#include "png/png.hh"
 
 namespace neurocube
 {
@@ -362,6 +367,93 @@ TEST(AddressGenerator, PartialConnectionReadsOutputPlane)
     }
     EXPECT_TRUE(saw_partial_state);
     EXPECT_TRUE(saw_partial_weight);
+}
+
+TEST(Png, OutOfOrderReturnsKeepTheirOwnRouting)
+{
+    // Weights live in DRAM row 17, which hashes to the same bank as
+    // the states' row 0. Once the queue head is a weight, the vault
+    // controller serves later state reads that hit the open row
+    // first (FR-FCFS), so responses come back out of issue order.
+    // Every emitted packet must still carry the routing fields of
+    // the read its payload came from.
+    PngProgram prog = smallConvProgram();
+    DramParams dram = DramParams::hmcInternal();
+    prog.weights.base = 17 * dram.elementsPerRow();
+
+    StatGroup root(nullptr, "t");
+    MemoryChannel channel(dram, &root, "vault0");
+    NocFabric fabric(NocFabric::Config{}, &root);
+    PngParams params;
+    // One connection per emission phase keeps state and weight runs
+    // short, so both rows sit inside the reorder window together.
+    params.connBlockSize = 1;
+    Png png(0, params, channel, fabric, &root);
+
+    // A distinct payload per address identifies the read behind a
+    // packet.
+    auto payload = [](Addr addr) {
+        return Fixed::fromRaw(int16_t(addr % 30011));
+    };
+    for (Addr a = 0; a < prog.input.region.elements; ++a)
+        channel.store().write(prog.input.region.base + a,
+                              payload(prog.input.region.base + a));
+    for (Addr a = 0; a < prog.weights.elements; ++a)
+        channel.store().write(prog.weights.base + a,
+                              payload(prog.weights.base + a));
+
+    // The reads in issue order, keyed by the packet fields a read's
+    // response must reproduce.
+    using Key = std::tuple<PacketKind, uint16_t, unsigned, uint32_t,
+                           unsigned, uint32_t, unsigned>;
+    auto keyOf = [](PacketKind kind, unsigned dst, unsigned mac,
+                    uint32_t group, unsigned op, uint32_t neuron,
+                    unsigned home) {
+        return Key{kind, uint16_t(dst), mac, group, op, neuron, home};
+    };
+    std::map<Key, std::pair<size_t, int16_t>> expected;
+    AddressGenerator gen;
+    gen.configure(prog, params.numMacs, params.connBlockSize);
+    GeneratedOp op;
+    while (gen.next(op)) {
+        Key k = keyOf(op.kind, op.dst, op.mac, op.group, op.opId,
+                      op.neuron, op.homeVault);
+        ASSERT_TRUE(expected
+                        .emplace(k, std::make_pair(
+                                        expected.size(),
+                                        payload(op.addr).raw()))
+                        .second);
+    }
+    const size_t total = expected.size();
+
+    png.configure(prog);
+    size_t received = 0;
+    size_t latest_issue = 0;
+    unsigned inversions = 0;
+    for (Tick t = 0; t < 100000 && received < total; ++t) {
+        channel.tick(t);
+        png.tick(t);
+        fabric.tick(t);
+        PacketRing &delivery = fabric.peDelivery(0);
+        for (; !delivery.empty(); delivery.pop_front(), ++received) {
+            const Packet &p = delivery.front();
+            auto it = expected.find(keyOf(p.kind, p.dst, p.mac,
+                                          p.group, p.opId, p.neuron,
+                                          p.homeVault));
+            ASSERT_NE(it, expected.end())
+                << "packet routing matches no issued read";
+            EXPECT_EQ(p.data.raw(), it->second.second)
+                << "payload of another read, op " << p.opId;
+            if (it->second.first < latest_issue)
+                ++inversions;
+            latest_issue = std::max(latest_issue, it->second.first);
+            expected.erase(it);
+        }
+    }
+    EXPECT_EQ(received, total);
+    EXPECT_TRUE(expected.empty());
+    // The test only means something if the vault did reorder.
+    EXPECT_GT(inversions, 0u);
 }
 
 } // namespace
