@@ -59,9 +59,7 @@ struct NeurocubeConfig
      * stall, and energy accounting as a traced legacy run (fuzzed in
      * tests/test_engine_diff.cc). ThreadedLanes demotes to Event
      * while a trace-event recorder (a session with sinks) is live —
-     * the recorder ring is single-producer; see
-     * TraceConfig::legacyEngineWithRecorder for the old always-
-     * Legacy fallback.
+     * the recorder ring is single-producer.
      */
     SimEngine engine = SimEngine::Event;
 

@@ -3,7 +3,14 @@
  * Wake-list pass scheduler: the event-driven execution engine behind
  * SimEngine::Event and SimEngine::ThreadedLanes.
  *
- * The legacy loop in core/neurocube.cc advances every component every
+ * Every engine runs a pass through one loop shell, Neurocube::passLoop
+ * in core/neurocube.cc, over completion groups (the PNGs, channels,
+ * PEs and mesh nodes that finish a pass together: the whole machine
+ * for a single layer, one per active lane for a batch). The shell
+ * owns the start stamp, deadline, completion stamps, LaneDone and
+ * EngineSkip emission, catch-up and the clock; the engine picks only
+ * the per-tick body. The Legacy body, which lives in that shell and
+ * never uses this scheduler, advances every component every
  * reference tick. Most of those ticks are provably no-ops (a PE
  * waiting out its 16-tick MAC window, a DDR3 channel pacing a 0.2
  * words/tick credit, a finished lane idling until the slowest lane
@@ -26,10 +33,11 @@
  *  - executed ticks run in the legacy phase order (PNGs, channels,
  *    fabric, PEs; ascending index within a phase).
  *
- * One PassScheduler drives either the whole machine (Event) or one
- * batch lane's slice of it (ThreadedLanes, one scheduler per worker
- * thread over a NocFabric::LaneView). tests/test_engine_diff.cc
- * fuzzes both against the legacy loop.
+ * One PassScheduler drives either the whole machine (Event: the shell
+ * calls step(t), then jumps to minWake()) or one batch lane's slice of
+ * it (ThreadedLanes: each worker thread runs the same shell on its
+ * lane's scheduler over a NocFabric::LaneView). tests/test_engine_diff.cc
+ * fuzzes both against the Legacy body.
  */
 
 #ifndef NEUROCUBE_CORE_ENGINE_HH

@@ -1,5 +1,6 @@
 #include "core/neurocube.hh"
 
+#include <algorithm>
 #include <thread>
 
 #include "common/logging.hh"
@@ -52,6 +53,65 @@ nodeSelected(const std::vector<unsigned> *nodes, unsigned node)
         return true;
     return std::find(nodes->begin(), nodes->end(), node)
         != nodes->end();
+}
+
+/**
+ * Publish the ticks @p sched elided since the last call as one
+ * aggregate EngineSkip event on the Sim track.
+ */
+void
+emitSkipped(PassScheduler &sched)
+{
+    if (uint64_t skipped = sched.takeSkippedTicks())
+        NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip, 0,
+                 skipped);
+}
+
+/** True when every component of @p s has finished the pass. */
+bool
+groupDone(const PassScheduler::Slice &s)
+{
+    for (const Png *png : s.pngs) {
+        if (!png->done())
+            return false;
+    }
+    for (const Pe *pe : s.pes) {
+        if (!pe->done())
+            return false;
+    }
+    for (const MemoryChannel *channel : s.channels) {
+        if (!channel->idle())
+            return false;
+    }
+    for (unsigned node : s.peIds) {
+        if (!s.fabric->nodeQuiescent(node))
+            return false;
+    }
+    return true;
+}
+
+/** Cumulative activity counters of one slice's components. */
+struct SliceCounters
+{
+    uint64_t macs = 0;
+    uint64_t bits = 0;
+    uint64_t lateral = 0;
+    uint64_t local = 0;
+};
+
+SliceCounters
+sliceCounters(const PassScheduler::Slice &s)
+{
+    SliceCounters c;
+    for (const Pe *pe : s.pes)
+        c.macs += pe->macOps();
+    for (const MemoryChannel *channel : s.channels)
+        c.bits += channel->bitsTransferred();
+    for (unsigned node : s.peIds) {
+        c.lateral += s.fabric->nodeLateralPackets(node);
+        c.local += s.fabric->nodeLocalPackets(node);
+    }
+    return c;
 }
 
 } // namespace
@@ -142,39 +202,16 @@ Neurocube::setInput(const Tensor &input)
     input_ = input;
 }
 
-bool
-Neurocube::passDone() const
-{
-    for (const auto &png : pngs_) {
-        if (!png->done())
-            return false;
-    }
-    for (const auto &pe : pes_) {
-        if (!pe->done())
-            return false;
-    }
-    for (const auto &channel : channels_) {
-        if (!channel->idle())
-            return false;
-    }
-    return fabric_->idle();
-}
-
 SimEngine
 Neurocube::activeEngine() const
 {
-    if (trace::activeRecorder() != nullptr) {
-        // Compatibility escape hatch: the pre-sampling releases ran
-        // every traced pass on the legacy loop.
-        if (config_.trace.legacyEngineWithRecorder)
-            return SimEngine::Legacy;
-        // The recorder ring is single-producer; lane workers would
-        // race on it. The single-threaded event loop emits the same
-        // stream (skipped ticks are exactly the ticks no component
-        // records at), so tracing costs the thread fan-out only.
-        if (config_.engine == SimEngine::ThreadedLanes)
-            return SimEngine::Event;
-    }
+    // The recorder ring is single-producer; lane workers would race
+    // on it. The single-threaded event loop emits the same stream
+    // (skipped ticks are exactly the ticks no component records at),
+    // so tracing costs the thread fan-out only.
+    if (trace::activeRecorder() != nullptr
+        && config_.engine == SimEngine::ThreadedLanes)
+        return SimEngine::Event;
     return config_.engine;
 }
 
@@ -203,39 +240,31 @@ Neurocube::spatialSnapshot()
 }
 
 PassScheduler::Slice
-Neurocube::fullSlice()
+Neurocube::groupSlice(const LaneSpec *lane)
 {
     PassScheduler::Slice s;
     s.fabric = fabric_.get();
     s.numNodes = config_.numPes;
     s.numChannels = unsigned(channels_.size());
-    std::vector<unsigned> mem_nodes = config_.resolvedMemoryNodes();
-    for (unsigned ch = 0; ch < channels_.size(); ++ch) {
-        s.channelIds.push_back(ch);
-        s.channels.push_back(channels_[ch].get());
-        s.pngs.push_back(pngs_[ch].get());
-        s.channelNodes.push_back(mem_nodes[ch]);
+    if (lane == nullptr) {
+        std::vector<unsigned> mem_nodes = config_.resolvedMemoryNodes();
+        for (unsigned ch = 0; ch < channels_.size(); ++ch) {
+            s.channelIds.push_back(ch);
+            s.channels.push_back(channels_[ch].get());
+            s.pngs.push_back(pngs_[ch].get());
+            s.channelNodes.push_back(mem_nodes[ch]);
+        }
+        for (unsigned p = 0; p < pes_.size(); ++p) {
+            s.peIds.push_back(p);
+            s.pes.push_back(pes_[p].get());
+        }
+        return s;
     }
-    for (unsigned p = 0; p < pes_.size(); ++p) {
-        s.peIds.push_back(p);
-        s.pes.push_back(pes_[p].get());
-    }
-    return s;
-}
-
-PassScheduler::Slice
-Neurocube::laneSlice(unsigned lane)
-{
     // Batching requires the identity vault attachment (channel i at
     // node i, asserted by buildBatchLanes), so a lane's node list
     // selects its channels, PNGs, and PEs alike.
-    const LaneSpec &spec = lanePartition_[lane];
-    PassScheduler::Slice s;
-    s.fabric = fabric_.get();
-    s.view = &laneViews()[lane];
-    s.numNodes = config_.numPes;
-    s.numChannels = unsigned(channels_.size());
-    for (unsigned node : spec.nodes) {
+    s.view = &laneViews()[lane->index];
+    for (unsigned node : lane->nodes) {
         s.channelIds.push_back(node);
         s.channels.push_back(channels_[node].get());
         s.pngs.push_back(pngs_[node].get());
@@ -259,98 +288,178 @@ Neurocube::laneViews()
     return laneViews_;
 }
 
-void
-Neurocube::runPassEvent(Tick start, Tick deadline, uint64_t pairs)
+Tick
+Neurocube::passLoop(PassScheduler *sched,
+                    std::span<const CompletionGroup> groups,
+                    std::span<Tick> done, const PassFrame &frame)
 {
-    if (passDone())
-        return; // zero executed ticks, exactly like the legacy loop
-    PassScheduler sched(fullSlice(), start);
-    Tick t = start;
-    for (;;) {
-        // Stamp executed ticks only: a skipped tick is one no
-        // component would have recorded an event at (the sleep
-        // conditions guarantee it), so the stream matches the legacy
-        // loop's every-tick stamping bit for bit.
+    size_t pending = groups.size();
+    for (Tick t = frame.start;;) {
+        // Stamp executed ticks only: a tick the scheduler skips is one
+        // no component would have recorded an event at (the sleep
+        // conditions guarantee it), so the stream matches the Legacy
+        // every-tick stamping bit for bit.
         NC_TRACE_TICK(t);
-        sched.step(t);
-        if (uint64_t skipped = sched.takeSkippedTicks())
-            NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip,
-                     0, skipped);
-        // The legacy loop checks the deadline after ++now_ and before
-        // re-evaluating passDone(), so the check is unconditional.
-        if (t + 1 >= deadline) {
-            nc_panic("pass deadlock: %llu of expected work pending "
-                     "after %llu ticks",
-                     (unsigned long long)pairs,
-                     (unsigned long long)(t + 1 - start));
+        if (sched == nullptr) {
+            // Legacy reference body: tick every component, no wake
+            // logic. tests/test_engine_diff.cc compares against it.
+            for (auto &png : pngs_)
+                png->tick(t);
+            for (auto &channel : channels_)
+                channel->tick(t);
+            fabric_->tick(t);
+            for (auto &pe : pes_)
+                pe->tick(t, *fabric_);
+        } else {
+            sched->step(t);
+            emitSkipped(*sched);
         }
-        if (passDone()) {
-            ++t;
-            break;
+        // Done-ness only changes through actions at executed ticks,
+        // so evaluating after every executed tick yields the Legacy
+        // stamps. Completion is stamped before the deadline check;
+        // the order is visible only through LaneDone events, which
+        // batch passes alone emit, and the deadline fires either way.
+        const Tick stamp = t + 1;
+        for (size_t g = 0; g < groups.size(); ++g) {
+            if (done[g] != 0 || !groupDone(groups[g].slice))
+                continue;
+            done[g] = stamp;
+            --pending;
+            if (frame.batch) {
+                NC_TRACE(TraceComponent::Sim, groups[g].lane->index,
+                         TraceEventType::LaneDone, unsigned(frame.pass),
+                         stamp - frame.start);
+            }
         }
-        Tick next = sched.minWake();
-        if (next == tickNever || next >= deadline) {
-            // Every component asleep with the pass unfinished: the
-            // legacy loop would no-op-tick its way to the deadline
-            // and panic there. Report the deadlock immediately.
-            nc_panic("pass deadlock: %llu of expected work pending, "
-                     "all components asleep at tick %llu",
-                     (unsigned long long)pairs,
-                     (unsigned long long)(t + 1 - start));
+        if (stamp >= frame.deadline) {
+            nc_panic("pass deadlock: %zu of %zu completion groups "
+                     "pending after %llu ticks (%llu operand pairs "
+                     "budgeted)", pending, groups.size(),
+                     (unsigned long long)(stamp - frame.start),
+                     (unsigned long long)frame.pairs);
         }
-        t = next;
+        if (pending == 0)
+            return stamp;
+        t = sched == nullptr ? stamp : sched->minWake();
+        if (t == tickNever || t >= frame.deadline) {
+            // Every component asleep with the pass unfinished: Legacy
+            // would no-op-tick its way to the deadline and panic
+            // there. Report the deadlock immediately.
+            nc_panic("pass deadlock: %zu of %zu completion groups "
+                     "pending, all components asleep at tick %llu",
+                     pending, groups.size(),
+                     (unsigned long long)(stamp - frame.start));
+        }
     }
-    NC_TRACE_TICK(t);
-    sched.catchupAll(t);
-    if (uint64_t skipped = sched.takeSkippedTicks())
-        NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip, 0,
-                 skipped);
-    now_ = t;
 }
 
 Tick
-Neurocube::runPass(const CompiledLayer &compiled, size_t pass)
+Neurocube::runPass(const std::vector<CompletionGroup> &groups,
+                   const std::vector<CompiledLayer> &compiled,
+                   size_t pass, bool batch, std::vector<Tick> &done)
 {
-    NC_TRACE_TICK(now_);
-    const CompiledPass &cp = compiled.passes()[pass];
-    for (unsigned ch = 0; ch < channels_.size(); ++ch)
-        pngs_[ch]->configure(cp.programs[ch]);
-    for (unsigned p = 0; p < pes_.size(); ++p)
-        pes_[p]->configurePass(compiled.peConfig(pass, p));
+    // Configure every group; batch lanes beyond the active ones are
+    // parked on disabled programs.
+    for (size_t g = 0; g < groups.size(); ++g) {
+        const PassScheduler::Slice &s = groups[g].slice;
+        const CompiledPass &cp = compiled[g].passes()[pass];
+        for (size_t i = 0; i < s.pngs.size(); ++i)
+            s.pngs[i]->configure(cp.programs[i]);
+        for (size_t i = 0; i < s.pes.size(); ++i)
+            s.pes[i]->configurePass(compiled[g].peConfig(pass, i));
+    }
+    if (batch) {
+        for (size_t l = groups.size(); l < lanePartition_.size(); ++l) {
+            for (unsigned node : lanePartition_[l].nodes) {
+                pngs_[node]->configure(PngProgram{});
+                pes_[node]->configurePass(PePassConfig{});
+            }
+        }
+    }
 
     // Safety net: a pass can never legitimately exceed this budget
     // (every operand pair needs at least one DRAM word somewhere).
-    uint64_t pairs = 0;
+    PassFrame frame;
+    frame.start = now_;
     for (const auto &png : pngs_)
-        pairs += png->pairBudget();
-    Tick deadline = now_ + 10000 + 400 * pairs;
+        frame.pairs += png->pairBudget();
+    frame.deadline = now_ + 10000 + 400 * frame.pairs;
+    frame.pass = pass;
+    frame.batch = batch;
 
-    Tick start = now_;
-    if (activeEngine() == SimEngine::Legacy) {
-        while (!passDone()) {
-            NC_TRACE_TICK(now_);
-            for (auto &png : pngs_)
-                png->tick(now_);
-            for (auto &channel : channels_)
-                channel->tick(now_);
-            fabric_->tick(now_);
-            for (auto &pe : pes_)
-                pe->tick(now_, *fabric_);
-            ++now_;
-            if (now_ >= deadline) {
-                nc_panic("pass deadlock: %llu of expected work "
-                         "pending after %llu ticks",
-                         (unsigned long long)pairs,
-                         (unsigned long long)(now_ - start));
-            }
-        }
-    } else {
-        // ThreadedLanes only threads runForwardBatch; a plain pass
-        // runs on the single-scheduler event engine.
-        runPassEvent(start, deadline, pairs);
-    }
     statPasses_ += 1;
-    return now_ - start;
+    done.assign(groups.size(), 0);
+    // A single pass already done at start runs zero ticks; a batch
+    // pass always executes at least one.
+    if (!batch
+        && std::all_of(groups.begin(), groups.end(),
+                       [](const CompletionGroup &g) {
+                           return groupDone(g.slice);
+                       })) {
+        done.assign(groups.size(), frame.start);
+        return frame.start;
+    }
+
+    // ThreadedLanes runs one lane-slice scheduler per worker thread;
+    // with a single group it is Event.
+    const SimEngine engine = activeEngine();
+    const bool threaded =
+        engine == SimEngine::ThreadedLanes && groups.size() > 1;
+    std::vector<std::unique_ptr<PassScheduler>> scheds;
+    Tick final = frame.start;
+    if (threaded) {
+        // Shared fabric aggregates detour through per-node scratch
+        // while the workers run; everything else the lanes touch is
+        // per-node and therefore disjoint by construction (the lane
+        // checker asserts no packet crosses lanes).
+        fabric_->setLaneStatsMode(true);
+        // One scheduler per lane, parked lanes included: they never
+        // step, but the catch-up below bulk-accounts their idle
+        // components.
+        for (const LaneSpec &lane : lanePartition_) {
+            scheds.push_back(std::make_unique<PassScheduler>(
+                groupSlice(&lane), frame.start));
+        }
+        std::span<const CompletionGroup> all(groups);
+        std::span<Tick> stamps(done);
+        auto run_lane = [&](size_t g) {
+            passLoop(scheds[g].get(), all.subspan(g, 1),
+                     stamps.subspan(g, 1), frame);
+        };
+        std::vector<std::thread> workers;
+        workers.reserve(groups.size() - 1);
+        for (size_t g = 1; g < groups.size(); ++g)
+            workers.emplace_back(run_lane, g);
+        run_lane(0);
+        for (std::thread &w : workers)
+            w.join();
+        for (Tick stamp : done)
+            final = std::max(final, stamp);
+    } else {
+        if (engine != SimEngine::Legacy) {
+            scheds.push_back(std::make_unique<PassScheduler>(
+                groupSlice(nullptr), frame.start));
+        }
+        final = passLoop(scheds.empty() ? nullptr : scheds[0].get(),
+                         groups, done, frame);
+    }
+
+    // The wake-list engines bulk-account every component up to the
+    // pass's global end, as Legacy keeps no-op-ticking finished
+    // components until then. A single pass stamps the catch-up at
+    // that end, a batch pass at its last executed tick.
+    if (!batch && !scheds.empty())
+        NC_TRACE_TICK(final);
+    for (auto &sched : scheds) {
+        sched->catchupAll(final);
+        emitSkipped(*sched);
+    }
+    if (threaded) {
+        fabric_->foldLaneStats();
+        fabric_->setLaneStatsMode(false);
+    }
+    now_ = final;
+    return frame.start;
 }
 
 void
@@ -379,32 +488,35 @@ Neurocube::fillHistogramSummaries(BottleneckReport &report,
     report.pngOutQueueDepth = summarize(png_queue);
 }
 
-LayerResult
-Neurocube::runSingleLayer(const LayerDesc &layer,
-                          const std::vector<Fixed> &weights,
-                          const Tensor &input, Tensor *output)
+std::vector<LayerResult>
+Neurocube::runLayerOnGroups(const LayerDesc &layer,
+                            const std::vector<Fixed> &weights,
+                            const std::vector<CompletionGroup> &groups,
+                            const std::vector<const Tensor *> &inputs,
+                            const std::vector<Tensor *> &outputs,
+                            bool batch)
 {
-    std::vector<BackingStore *> stores;
-    stores.reserve(channels_.size());
-    for (auto &channel : channels_)
-        stores.push_back(&channel->store());
+    const size_t n = groups.size();
+    std::vector<CompiledLayer> compiled(n);
+    std::vector<std::vector<BackingStore *>> stores(n);
+    for (size_t g = 0; g < n; ++g) {
+        for (MemoryChannel *channel : groups[g].slice.channels)
+            stores[g].push_back(&channel->store());
+        compiled[g] = compiler_.compile(layer, weights, *inputs[g],
+                                        stores[g], groups[g].lane);
+    }
+    // Identical layer descriptors compile to identical pass
+    // structures, so the groups stay in lockstep pass by pass.
+    const size_t num_passes = compiled[0].passes().size();
+    for (size_t g = 1; g < n; ++g) {
+        nc_assert(compiled[g].passes().size() == num_passes,
+                  "group %zu compiled %zu passes, group 0 %zu", g,
+                  compiled[g].passes().size(), num_passes);
+    }
 
-    CompiledLayer compiled =
-        compiler_.compile(layer, weights, input, stores);
-
-    LayerResult result;
-    result.name = layer.name.empty() ? layerTypeName(layer.type)
-                                     : layer.name;
-    result.passes = unsigned(compiled.passes().size());
-
-    uint64_t mac_ops_before = 0;
-    for (const auto &pe : pes_)
-        mac_ops_before += pe->macOps();
-    uint64_t lateral_before = fabric_->lateralPackets();
-    uint64_t local_before = fabric_->localPackets();
-    uint64_t bits_before = 0;
-    for (const auto &channel : channels_)
-        bits_before += channel->bitsTransferred();
+    std::vector<SliceCounters> before(n);
+    for (size_t g = 0; g < n; ++g)
+        before[g] = sliceCounters(groups[g].slice);
 
     MetricsRegistry *metrics = metricsRegistry();
     MetricsSnapshot metrics_before;
@@ -423,51 +535,98 @@ Neurocube::runSingleLayer(const LayerDesc &layer,
         energy_before = energy->snapshot();
 #endif
 
-    Tick cycles = 0;
-    for (size_t pass = 0; pass < compiled.passes().size(); ++pass) {
-        cycles += config_.configTicksPerPass;
+    std::vector<LayerResult> results(n);
+    const Tick layer_start = now_;
+    std::vector<Tick> done;
+    for (size_t p = 0; p < num_passes; ++p) {
+        // The configure-time trace events of a single pass are
+        // stamped after the configuration window, a batch pass's
+        // before it.
+        NC_TRACE_TICK(batch ? now_ : now_ + config_.configTicksPerPass);
         now_ += config_.configTicksPerPass;
-        cycles += runPass(compiled, pass);
+        const Tick start = runPass(groups, compiled, p, batch, done);
+        for (size_t g = 0; g < n; ++g)
+            results[g].cycles += config_.configTicksPerPass
+                               + (done[g] - start);
     }
 
-    uint64_t mac_ops_after = 0;
-    for (const auto &pe : pes_)
-        mac_ops_after += pe->macOps();
-    uint64_t bits_after = 0;
-    for (const auto &channel : channels_)
-        bits_after += channel->bitsTransferred();
+    MetricsSnapshot metrics_delta;
+    if (metrics)
+        metrics_delta = metrics->snapshot().delta(metrics_before);
 
-    result.cycles = cycles;
-    result.ops = 2 * (mac_ops_after - mac_ops_before);
-    result.lateralPackets = fabric_->lateralPackets() - lateral_before;
-    result.localPackets = fabric_->localPackets() - local_before;
-    result.dramBits = bits_after - bits_before;
-
-    LayerFootprint fp = layerFootprint(layer, config_.mapping,
-                                       config_.dram.numChannels);
-    result.memoryBytes = fp.totalBytes();
-    result.duplicationBytes = fp.duplicationBytes;
-
-    if (metrics) {
-        result.bottleneck = buildBottleneckReport(
-            metrics->snapshot().delta(metrics_before));
-        fillHistogramSummaries(result.bottleneck, nullptr);
-    }
-
+    SpatialSnapshot spatial_delta;
     if (spatial)
-        result.spatial = spatialSnapshot().delta(spatial_before);
-    result.roofline = rooflinePoint(layer, config_, result);
+        spatial_delta = spatialSnapshot().delta(spatial_before);
 
 #if NEUROCUBE_TRACE_ENABLED
+    EnergySnapshot energy_delta;
     if (energy)
-        result.energy = energy->snapshot().delta(energy_before).sum();
+        energy_delta = energy->snapshot().delta(energy_before);
 #endif
 
-    statLayerCycles_ += cycles;
+    for (size_t g = 0; g < n; ++g) {
+        const PassScheduler::Slice &s = groups[g].slice;
+        // Per-lane attribution: every component instance is
+        // node-indexed and batching requires the identity vault
+        // attachment, so the lane's node list selects its routers,
+        // PEs, PNGs, and channels alike.
+        const std::vector<unsigned> *nodes =
+            groups[g].lane ? &groups[g].lane->nodes : nullptr;
+        const SliceCounters after = sliceCounters(s);
+        LayerResult &r = results[g];
+        r.name = layer.name.empty() ? layerTypeName(layer.type)
+                                    : layer.name;
+        r.passes = unsigned(num_passes);
+        r.ops = 2 * (after.macs - before[g].macs);
+        r.dramBits = after.bits - before[g].bits;
+        r.lateralPackets = after.lateral - before[g].lateral;
+        r.localPackets = after.local - before[g].local;
 
-    if (output)
-        *output = compiler_.gather(compiled, stores);
-    return result;
+        LayerFootprint fp = layerFootprint(layer, config_.mapping,
+                                           unsigned(s.channels.size()));
+        r.memoryBytes = fp.totalBytes();
+        r.duplicationBytes = fp.duplicationBytes;
+
+        if (metrics) {
+            r.bottleneck = buildBottleneckReport(metrics_delta, nodes);
+            fillHistogramSummaries(r.bottleneck, nodes);
+        }
+        if (spatial) {
+            r.spatial = nodes ? filterSnapshotToNodes(spatialTopology(),
+                                                      spatial_delta,
+                                                      *nodes)
+                              : spatial_delta;
+        }
+        // The group owns its slice's PEs and vault channels, so its
+        // ceilings come from a machine of that size.
+        NeurocubeConfig group_cfg = config_;
+        group_cfg.numPes = unsigned(s.pes.size());
+        group_cfg.dram.numChannels = unsigned(s.channels.size());
+        r.roofline = rooflinePoint(layer, group_cfg, r);
+
+#if NEUROCUBE_TRACE_ENABLED
+        if (energy)
+            r.energy = energy_delta.sum(nodes);
+#endif
+
+        if (outputs[g])
+            *outputs[g] = compiler_.gather(compiled[g], stores[g]);
+    }
+
+    statLayerCycles_ += now_ - layer_start;
+    return results;
+}
+
+LayerResult
+Neurocube::runSingleLayer(const LayerDesc &layer,
+                          const std::vector<Fixed> &weights,
+                          const Tensor &input, Tensor *output)
+{
+    const std::vector<CompletionGroup> machine{
+        {nullptr, groupSlice(nullptr)}};
+    return runLayerOnGroups(layer, weights, machine, {&input}, {output},
+                            false)
+        .front();
 }
 
 LayerResult
@@ -559,143 +718,6 @@ Neurocube::advanceIdleTo(Tick when)
     now_ = when;
 }
 
-bool
-Neurocube::laneDone(const LaneSpec &lane) const
-{
-    for (unsigned node : lane.nodes) {
-        if (!pngs_[node]->done() || !pes_[node]->done()
-            || !channels_[node]->idle()
-            || !fabric_->nodeQuiescent(node)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-void
-Neurocube::runBatchPassEvent(Tick start, Tick deadline,
-                             unsigned active, size_t pass,
-                             std::vector<Tick> &lane_done)
-{
-    PassScheduler sched(fullSlice(), start);
-    unsigned remaining = active;
-    Tick t = start;
-    Tick final = start;
-    for (;;) {
-        // Executed ticks carry the same stamps (and therefore the
-        // same event stream) as the legacy every-tick loop; skipped
-        // ticks are ones no component records at.
-        NC_TRACE_TICK(t);
-        sched.step(t);
-        if (uint64_t skipped = sched.takeSkippedTicks())
-            NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip,
-                     0, skipped);
-        const Tick stamp = t + 1;
-        // Lane done-ness only changes through actions at executed
-        // ticks, so evaluating after every executed tick yields the
-        // same stamps as the legacy every-tick loop.
-        for (unsigned l = 0; l < active; ++l) {
-            if (lane_done[l] == 0 && laneDone(lanePartition_[l])) {
-                lane_done[l] = stamp;
-                --remaining;
-                // Same emission point as the legacy loop: recorder
-                // stamped at the executed tick, value is the lane's
-                // pass span.
-                NC_TRACE(TraceComponent::Sim, l,
-                         TraceEventType::LaneDone, unsigned(pass),
-                         stamp - start);
-            }
-        }
-        if (stamp >= deadline) {
-            nc_panic("batch pass deadlock: %u lanes pending after "
-                     "%llu ticks", remaining,
-                     (unsigned long long)(stamp - start));
-        }
-        if (remaining == 0) {
-            final = stamp;
-            break;
-        }
-        Tick next = sched.minWake();
-        if (next == tickNever || next >= deadline) {
-            nc_panic("batch pass deadlock: %u lanes pending, all "
-                     "components asleep at tick %llu", remaining,
-                     (unsigned long long)(stamp - start));
-        }
-        t = next;
-    }
-    sched.catchupAll(final);
-    if (uint64_t skipped = sched.takeSkippedTicks())
-        NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip, 0,
-                 skipped);
-    now_ = final;
-}
-
-void
-Neurocube::runBatchPassThreaded(Tick start, Tick deadline,
-                                unsigned active,
-                                std::vector<Tick> &lane_done)
-{
-    const unsigned lanes = unsigned(lanePartition_.size());
-    laneViews();
-
-    // Shared fabric aggregates detour through per-node scratch while
-    // the workers run; everything else the lanes touch is per-node
-    // and therefore disjoint by construction (the lane checker
-    // asserts no packet crosses lanes).
-    fabric_->setLaneStatsMode(true);
-
-    // One scheduler per lane, parked lanes included: they never step,
-    // but catchupAll below bulk-accounts their idle components.
-    std::vector<std::unique_ptr<PassScheduler>> scheds;
-    scheds.reserve(lanes);
-    for (unsigned l = 0; l < lanes; ++l)
-        scheds.push_back(
-            std::make_unique<PassScheduler>(laneSlice(l), start));
-
-    auto run_lane = [&](unsigned l) {
-        PassScheduler &sched = *scheds[l];
-        const LaneSpec &lane = lanePartition_[l];
-        Tick t = start;
-        for (;;) {
-            sched.step(t);
-            if (t + 1 >= deadline) {
-                nc_panic("batch pass deadlock: lane %u pending after "
-                         "%llu ticks", l,
-                         (unsigned long long)(t + 1 - start));
-            }
-            if (laneDone(lane)) {
-                lane_done[l] = t + 1;
-                break;
-            }
-            Tick next = sched.minWake();
-            if (next == tickNever || next >= deadline) {
-                nc_panic("batch pass deadlock: lane %u asleep with "
-                         "work pending at tick %llu", l,
-                         (unsigned long long)(t + 1 - start));
-            }
-            t = next;
-        }
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(active > 0 ? active - 1 : 0);
-    for (unsigned l = 1; l < active; ++l)
-        workers.emplace_back(run_lane, l);
-    run_lane(0);
-    for (std::thread &w : workers)
-        w.join();
-
-    Tick final = start;
-    for (unsigned l = 0; l < active; ++l)
-        final = std::max(final, lane_done[l]);
-    for (unsigned l = 0; l < lanes; ++l)
-        scheds[l]->catchupAll(final);
-
-    fabric_->foldLaneStats();
-    fabric_->setLaneStatsMode(false);
-    now_ = final;
-}
-
 BatchRunResult
 Neurocube::runForwardBatch(const std::vector<Tensor> &inputs)
 {
@@ -738,209 +760,23 @@ Neurocube::runForwardBatch(const std::vector<Tensor> &inputs)
     for (unsigned l = 0; l < active; ++l)
         result.lanes[l].spatialTopology = spatial_topo;
 
+    std::vector<CompletionGroup> groups;
+    for (unsigned l = 0; l < active; ++l)
+        groups.push_back({&lanePartition_[l],
+                          groupSlice(&lanePartition_[l])});
+
     const Tick batch_start = now_;
-
     for (size_t li = 0; li < net_.layers.size(); ++li) {
-        const LayerDesc &layer = net_.layers[li];
-        const Tick layer_start = now_;
-
-        // Compile the layer once per active lane, each against its own
-        // vault group's stores and input.
-        std::vector<CompiledLayer> compiled(active);
-        std::vector<std::vector<BackingStore *>> lane_stores(active);
+        std::vector<const Tensor *> in(active);
+        std::vector<Tensor *> out(active);
         for (unsigned l = 0; l < active; ++l) {
-            const LaneSpec &lane = lanePartition_[l];
-            lane_stores[l].reserve(lane.nodes.size());
-            for (unsigned node : lane.nodes)
-                lane_stores[l].push_back(&channels_[node]->store());
-            const Tensor &in =
-                li == 0 ? inputs[l] : batchActivations_[l][li - 1];
-            compiled[l] = compiler_.compile(layer, data_.weights[li],
-                                            in, lane_stores[l], &lane);
+            in[l] = li == 0 ? &inputs[l] : &batchActivations_[l][li - 1];
+            out[l] = &batchActivations_[l][li];
         }
-        // Identical layer descriptors compile to identical pass
-        // structures, so the lanes stay in lockstep pass by pass.
-        const size_t num_passes = compiled[0].passes().size();
-        for (unsigned l = 1; l < active; ++l) {
-            nc_assert(compiled[l].passes().size() == num_passes,
-                      "lane %u compiled %zu passes, lane 0 %zu", l,
-                      compiled[l].passes().size(), num_passes);
-        }
-
-        std::vector<LayerResult> lr(active);
-        std::vector<uint64_t> macs_before(active, 0);
-        std::vector<uint64_t> bits_before(active, 0);
-        std::vector<uint64_t> lateral_before(active, 0);
-        std::vector<uint64_t> local_before(active, 0);
-        for (unsigned l = 0; l < active; ++l) {
-            for (unsigned node : lanePartition_[l].nodes) {
-                macs_before[l] += pes_[node]->macOps();
-                bits_before[l] += channels_[node]->bitsTransferred();
-                lateral_before[l] += fabric_->nodeLateralPackets(node);
-                local_before[l] += fabric_->nodeLocalPackets(node);
-            }
-        }
-
-        MetricsRegistry *metrics = metricsRegistry();
-        MetricsSnapshot metrics_before;
-        if (metrics)
-            metrics_before = metrics->snapshot();
-
-        SpatialRegistry *spatial = spatialRegistry();
-        SpatialSnapshot spatial_before;
-        if (spatial)
-            spatial_before = spatialSnapshot();
-
-#if NEUROCUBE_TRACE_ENABLED
-        EnergyRegistry *energy = energyRegistry();
-        EnergySnapshot energy_before;
-        if (energy)
-            energy_before = energy->snapshot();
-#endif
-
-        for (size_t p = 0; p < num_passes; ++p) {
-            NC_TRACE_TICK(now_);
-            now_ += config_.configTicksPerPass;
-
-            // Configure every node: active lanes get their programs,
-            // idle lanes are parked on disabled ones.
-            for (const LaneSpec &lane : lanePartition_) {
-                for (unsigned i = 0; i < lane.nodes.size(); ++i) {
-                    unsigned node = lane.nodes[i];
-                    if (lane.index < active) {
-                        const CompiledLayer &cl =
-                            compiled[lane.index];
-                        pngs_[node]->configure(
-                            cl.passes()[p].programs[i]);
-                        pes_[node]->configurePass(cl.peConfig(p, i));
-                    } else {
-                        pngs_[node]->configure(PngProgram{});
-                        pes_[node]->configurePass(PePassConfig{});
-                    }
-                }
-            }
-
-            uint64_t pairs = 0;
-            for (const auto &png : pngs_)
-                pairs += png->pairBudget();
-            const Tick deadline = now_ + 10000 + 400 * pairs;
-
-            const Tick start = now_;
-            std::vector<Tick> lane_done(active, 0);
-            const SimEngine engine = activeEngine();
-            if (engine == SimEngine::Legacy) {
-                unsigned remaining = active;
-                while (remaining > 0) {
-                    NC_TRACE_TICK(now_);
-                    for (auto &png : pngs_)
-                        png->tick(now_);
-                    for (auto &channel : channels_)
-                        channel->tick(now_);
-                    fabric_->tick(now_);
-                    for (auto &pe : pes_)
-                        pe->tick(now_, *fabric_);
-                    ++now_;
-                    for (unsigned l = 0; l < active; ++l) {
-                        if (lane_done[l] == 0
-                            && laneDone(lanePartition_[l])) {
-                            lane_done[l] = now_;
-                            --remaining;
-                            NC_TRACE(TraceComponent::Sim, l,
-                                     TraceEventType::LaneDone,
-                                     unsigned(p), now_ - start);
-                        }
-                    }
-                    if (now_ >= deadline) {
-                        nc_panic("batch pass deadlock: %u lanes "
-                                 "pending after %llu ticks", remaining,
-                                 (unsigned long long)(now_ - start));
-                    }
-                }
-            } else if (engine == SimEngine::Event) {
-                runBatchPassEvent(start, deadline, active, p,
-                                  lane_done);
-            } else {
-                runBatchPassThreaded(start, deadline, active,
-                                     lane_done);
-            }
-            statPasses_ += 1;
-            for (unsigned l = 0; l < active; ++l) {
-                lr[l].cycles += config_.configTicksPerPass
-                              + (lane_done[l] - start);
-            }
-        }
-
-        MetricsSnapshot metrics_delta;
-        if (metrics)
-            metrics_delta = metrics->snapshot().delta(metrics_before);
-
-        SpatialSnapshot spatial_delta;
-        if (spatial)
-            spatial_delta = spatialSnapshot().delta(spatial_before);
-
-#if NEUROCUBE_TRACE_ENABLED
-        EnergySnapshot energy_delta;
-        if (energy)
-            energy_delta = energy->snapshot().delta(energy_before);
-#endif
-
-        for (unsigned l = 0; l < active; ++l) {
-            const LaneSpec &lane = lanePartition_[l];
-            uint64_t macs = 0, bits = 0, lateral = 0, local = 0;
-            for (unsigned node : lane.nodes) {
-                macs += pes_[node]->macOps();
-                bits += channels_[node]->bitsTransferred();
-                lateral += fabric_->nodeLateralPackets(node);
-                local += fabric_->nodeLocalPackets(node);
-            }
-            lr[l].name = layer.name.empty()
-                             ? layerTypeName(layer.type)
-                             : layer.name;
-            lr[l].passes = unsigned(num_passes);
-            lr[l].ops = 2 * (macs - macs_before[l]);
-            lr[l].dramBits = bits - bits_before[l];
-            lr[l].lateralPackets = lateral - lateral_before[l];
-            lr[l].localPackets = local - local_before[l];
-
-            LayerFootprint fp = layerFootprint(
-                layer, config_.mapping, unsigned(lane.nodes.size()));
-            lr[l].memoryBytes = fp.totalBytes();
-            lr[l].duplicationBytes = fp.duplicationBytes;
-
-            if (metrics) {
-                // Per-lane attribution: every component instance is
-                // node-indexed and batching requires the identity
-                // vault attachment, so the lane's node list selects
-                // its routers, PEs, PNGs, and channels alike.
-                lr[l].bottleneck =
-                    buildBottleneckReport(metrics_delta, &lane.nodes);
-                fillHistogramSummaries(lr[l].bottleneck, &lane.nodes);
-            }
-
-            if (spatial) {
-                lr[l].spatial = filterSnapshotToNodes(
-                    spatial_topo, spatial_delta, lane.nodes);
-            }
-            // Lane roofline: this lane owns an even share of the
-            // PEs and vault channels, so its ceilings come from a
-            // proportionally shrunk machine.
-            NeurocubeConfig lane_cfg = config_;
-            lane_cfg.numPes = unsigned(lane.nodes.size());
-            lane_cfg.dram.numChannels = unsigned(lane.nodes.size());
-            lr[l].roofline = rooflinePoint(layer, lane_cfg, lr[l]);
-
-#if NEUROCUBE_TRACE_ENABLED
-            // Same node-indexed identity as the metrics attribution.
-            if (energy)
-                lr[l].energy = energy_delta.sum(&lane.nodes);
-#endif
-
-            result.lanes[l].layers.push_back(lr[l]);
-            batchActivations_[l][li] =
-                compiler_.gather(compiled[l], lane_stores[l]);
-        }
-
-        statLayerCycles_ += now_ - layer_start;
+        std::vector<LayerResult> lr = runLayerOnGroups(
+            net_.layers[li], data_.weights[li], groups, in, out, true);
+        for (unsigned l = 0; l < active; ++l)
+            result.lanes[l].layers.push_back(std::move(lr[l]));
     }
 
     result.cycles = now_ - batch_start;

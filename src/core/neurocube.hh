@@ -17,6 +17,7 @@
 #define NEUROCUBE_CORE_NEUROCUBE_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/config.hh"
@@ -200,34 +201,72 @@ class Neurocube
      * The engine the next pass will run on. Usually config().engine;
      * while a trace-event recorder is live, ThreadedLanes demotes to
      * Event (the recorder ring is single-producer, lane workers would
-     * race on it), and config().trace.legacyEngineWithRecorder
-     * additionally demotes everything to Legacy (the pre-sampling
-     * behaviour, kept as a compatibility escape hatch).
+     * race on it).
      */
     SimEngine activeEngine() const;
 
   private:
-    /** Run one compiled pass to completion; returns its cycles. */
-    Tick runPass(const CompiledLayer &compiled, size_t pass);
-    /** Slice covering the whole machine (Event engine). */
-    PassScheduler::Slice fullSlice();
-    /** Slice covering one batch lane (ThreadedLanes engine). */
-    PassScheduler::Slice laneSlice(unsigned lane);
+    /**
+     * A completion group: the PNGs, channels, PEs and mesh nodes that
+     * finish a pass together. runSingleLayer drives one whole-machine
+     * group (lane == nullptr), runForwardBatch one per active lane.
+     */
+    struct CompletionGroup
+    {
+        /** The batch lane, or nullptr for the whole machine. */
+        const LaneSpec *lane = nullptr;
+        /** Its components; slice.peIds are its mesh nodes. */
+        PassScheduler::Slice slice;
+    };
+
+    /** What every loop shell running one pass shares. */
+    struct PassFrame
+    {
+        Tick start = 0;
+        Tick deadline = 0;
+        /** Operand pairs budgeted across the machine. */
+        uint64_t pairs = 0;
+        size_t pass = 0;
+        /** Batch-pass semantics (see runLayerOnGroups). */
+        bool batch = false;
+    };
+
+    /** Slice of one lane's components, or of the whole machine. */
+    PassScheduler::Slice groupSlice(const LaneSpec *lane);
     /** Lane fabric views for lanePartition_ (built lazily, cached). */
     const std::vector<NocFabric::LaneView> &laneViews();
-    /** Event-engine body of runPass (after configuration). */
-    void runPassEvent(Tick start, Tick deadline, uint64_t pairs);
-    /** Event-engine body of one batch pass (single scheduler). */
-    void runBatchPassEvent(Tick start, Tick deadline, unsigned active,
-                           size_t pass, std::vector<Tick> &lane_done);
-    /** Threaded body of one batch pass (one scheduler per lane). */
-    void runBatchPassThreaded(Tick start, Tick deadline,
-                              unsigned active,
-                              std::vector<Tick> &lane_done);
-    /** True when every component has finished the current pass. */
-    bool passDone() const;
-    /** True when one lane's components have finished the pass. */
-    bool laneDone(const LaneSpec &lane) const;
+    /**
+     * Run one layer on every group (group g compiled against its own
+     * vaults and inputs[g]) and assemble one result per group;
+     * gathers group g's output into outputs[g] when non-null.
+     * @p batch selects the batch-pass semantics (DESIGN.md 6b):
+     * configure-time events stamped before the configuration window,
+     * at least one executed tick per pass, LaneDone events, and the
+     * catch-up EngineSkip stamped at the last executed tick.
+     */
+    std::vector<LayerResult>
+    runLayerOnGroups(const LayerDesc &layer,
+                     const std::vector<Fixed> &weights,
+                     const std::vector<CompletionGroup> &groups,
+                     const std::vector<const Tensor *> &inputs,
+                     const std::vector<Tensor *> &outputs, bool batch);
+    /**
+     * Configure pass @p pass on every group and run it to completion
+     * on the active engine. Fills done[g] with group g's completion
+     * tick and returns the pass's start tick.
+     */
+    Tick runPass(const std::vector<CompletionGroup> &groups,
+                 const std::vector<CompiledLayer> &compiled, size_t pass,
+                 bool batch, std::vector<Tick> &done);
+    /**
+     * The pass loop shell: tick until every group is done, stamping
+     * done[g] as group g finishes. @p sched is the wake-list scheduler
+     * to step, or nullptr for the Legacy every-component body.
+     * Returns the tick after the last executed one.
+     */
+    Tick passLoop(PassScheduler *sched,
+                  std::span<const CompletionGroup> groups,
+                  std::span<Tick> done, const PassFrame &frame);
     /** Validate the batch preconditions and build lanePartition_. */
     void buildBatchLanes();
     /**

@@ -388,5 +388,86 @@ TEST(Batch, PerLaneStatsPartitionTheMachine)
         EXPECT_LE(lane.totalCycles(), run.cycles);
 }
 
+/** What a forward run reports, for comparing two driver paths. */
+struct ForwardCapture
+{
+    std::vector<LayerResult> layers;
+    std::vector<Tensor> outputs;
+    std::string metricsJson;
+    std::string energyJson;
+    std::string spatialJson;
+};
+
+ForwardCapture
+captureRun(const RunResult &run)
+{
+    ForwardCapture c;
+    c.layers = run.layers;
+    c.metricsJson = run.metricsJson();
+    c.energyJson = run.energyJson();
+    c.spatialJson = run.spatialJson();
+    return c;
+}
+
+TEST(Batch, OneLaneWholeMeshMatchesRunForward)
+{
+    // A one-lane batch is the whole machine as a single completion
+    // group, so on a fresh machine it must report exactly what
+    // runForward does. Each cube is built and torn down before the
+    // next one: the trace registries are process-global.
+    NetworkDesc net = convFcNet();
+    NetworkData data = NetworkData::randomized(net, 7);
+    Tensor input = laneInputs(net, 1, 700).front();
+
+    for (SimEngine engine : {SimEngine::Legacy, SimEngine::Event,
+                             SimEngine::ThreadedLanes}) {
+        SCOPED_TRACE(int(engine));
+        NeurocubeConfig config;
+        config.engine = engine;
+        config.trace.enabled = true;
+        config.trace.metrics = true;
+        config.trace.energy = true;
+        config.trace.spatial = true;
+
+        ForwardCapture single;
+        {
+            Neurocube cube(config);
+            cube.loadNetwork(net, data);
+            cube.setInput(input);
+            single = captureRun(cube.runForward());
+            for (size_t i = 0; i < net.layers.size(); ++i)
+                single.outputs.push_back(cube.layerOutput(i));
+        }
+        ForwardCapture batch;
+        {
+            Neurocube cube(config);
+            cube.loadNetwork(net, data);
+            BatchRunResult run = cube.runForwardBatch({input});
+            ASSERT_EQ(run.lanes.size(), 1u);
+            EXPECT_EQ(run.cycles, run.lanes[0].totalCycles());
+            batch = captureRun(run.lanes[0]);
+            for (size_t i = 0; i < net.layers.size(); ++i)
+                batch.outputs.push_back(cube.batchLayerOutput(0, i));
+        }
+
+        ASSERT_EQ(single.layers.size(), net.layers.size());
+        ASSERT_EQ(batch.layers.size(), net.layers.size());
+        for (size_t i = 0; i < net.layers.size(); ++i) {
+            const LayerResult &a = single.layers[i];
+            const LayerResult &b = batch.layers[i];
+            EXPECT_EQ(a.cycles, b.cycles) << "layer " << i;
+            EXPECT_EQ(a.ops, b.ops) << "layer " << i;
+            EXPECT_EQ(a.dramBits, b.dramBits) << "layer " << i;
+            EXPECT_EQ(a.lateralPackets, b.lateralPackets) << "layer " << i;
+            EXPECT_EQ(a.localPackets, b.localPackets) << "layer " << i;
+            EXPECT_TRUE(tensorsEqual(single.outputs[i], batch.outputs[i]))
+                << "layer " << i;
+        }
+        EXPECT_EQ(single.metricsJson, batch.metricsJson);
+        EXPECT_EQ(single.energyJson, batch.energyJson);
+        EXPECT_EQ(single.spatialJson, batch.spatialJson);
+    }
+}
+
 } // namespace
 } // namespace neurocube
