@@ -2,11 +2,13 @@
 # Build and test every supported configuration:
 #   default  - RelWithDebInfo with trace instrumentation compiled in
 #   asan     - address + undefined-behaviour sanitizers
-#   notrace  - NC_TRACE compiled out (the zero-overhead configuration)
-#   tsan     - thread sanitizer over the trace-ring consumer thread
-#              and the ThreadedLanes engine workers (runs test_trace,
-#              test_metrics, test_engine_threads and the quick engine
-#              fuzz; see CMakePresets)
+#   notrace  - every Probe publish call compiled out (the zero-overhead
+#              configuration); the component libraries must not
+#              reference TraceRecorder::push
+#   tsan     - thread sanitizer over the ThreadedLanes engine workers
+#              and two traced machines on two threads (runs
+#              test_trace, test_metrics, test_engine_threads and the
+#              quick engine fuzz; see CMakePresets)
 #
 # The presets exclude the "long" ctest label (the 100-seed engine
 # fuzz); run `ctest` directly in a build dir for the full profile.
@@ -28,6 +30,18 @@ for preset in "${presets[@]}"; do
     cmake --build --preset "$preset" -j "$(nproc)"
     echo "=== [$preset] test ==="
     ctest --preset "$preset"
+    if [ "$preset" = notrace ]; then
+        # Compile-out guard: no publish site may survive as a call
+        # into the trace recorder.
+        for lib in core dram noc pe png serving; do
+            undefined="$(nm -uC "build-notrace/src/$lib/libnc_$lib.a")"
+            if grep -q 'TraceRecorder::push' <<<"$undefined"; then
+                echo "FAIL: libnc_$lib.a references TraceRecorder::push"
+                exit 1
+            fi
+        done
+        echo "notrace compile-out guard passed"
+    fi
 done
 
 # Quick-mode serving smoke: run the serve_sweep bench against the

@@ -58,8 +58,8 @@ struct NeurocubeConfig
      * windows into EngineSkip events, producing the same cycle,
      * stall, and energy accounting as a traced legacy run (fuzzed in
      * tests/test_engine_diff.cc). ThreadedLanes demotes to Event
-     * while a trace-event recorder (a session with sinks) is live —
-     * the recorder ring is single-producer.
+     * while the machine's own trace-event recorder (a session with
+     * sinks) is live — the recorder ring is single-threaded.
      */
     SimEngine engine = SimEngine::Event;
 

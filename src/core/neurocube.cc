@@ -5,9 +5,6 @@
 
 #include "common/logging.hh"
 #include "core/analytic_model.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
-#include "trace/spatial.hh"
 
 namespace neurocube
 {
@@ -60,11 +57,11 @@ nodeSelected(const std::vector<unsigned> *nodes, unsigned node)
  * aggregate EngineSkip event on the Sim track.
  */
 void
-emitSkipped(PassScheduler &sched)
+emitSkipped(const Probe &probe, PassScheduler &sched)
 {
     if (uint64_t skipped = sched.takeSkippedTicks())
-        NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip, 0,
-                 skipped);
+        probe.event(TraceComponent::Sim, 0, TraceEventType::EngineSkip, 0,
+                    skipped);
 }
 
 /** True when every component of @p s has finished the pass. */
@@ -154,25 +151,27 @@ Neurocube::Neurocube(const NeurocubeConfig &config)
         }
         traceSession_ =
             std::make_unique<TraceSession>(config_.trace, topology);
+        probe_ = traceSession_->probe();
 #else
         nc_warn("tracing requested but compiled out "
                 "(rebuild with -DNEUROCUBE_TRACE=ON)");
 #endif
     }
 
-    fabric_ = std::make_unique<NocFabric>(config_.noc, &statGroup_);
+    fabric_ = std::make_unique<NocFabric>(config_.noc, &statGroup_,
+                                          probe_);
 
     for (unsigned ch = 0; ch < config_.dram.numChannels; ++ch) {
         channels_.push_back(std::make_unique<MemoryChannel>(
             config_.dram, &statGroup_,
-            "vault" + std::to_string(ch), uint16_t(ch)));
+            "vault" + std::to_string(ch), uint16_t(ch), probe_));
         pngs_.push_back(std::make_unique<Png>(
             VaultId(mem_nodes[ch]), config_.png, *channels_[ch],
-            *fabric_, &statGroup_));
+            *fabric_, &statGroup_, probe_));
     }
     for (unsigned p = 0; p < config_.numPes; ++p) {
         pes_.push_back(std::make_unique<Pe>(PeId(p), config_.pe,
-                                            &statGroup_));
+                                            &statGroup_, probe_));
     }
 }
 
@@ -205,11 +204,11 @@ Neurocube::setInput(const Tensor &input)
 SimEngine
 Neurocube::activeEngine() const
 {
-    // The recorder ring is single-producer; lane workers would race
-    // on it. The single-threaded event loop emits the same stream
+    // The recorder ring has one producer; lane workers would race on
+    // it. The single-threaded event loop emits the same stream
     // (skipped ticks are exactly the ticks no component records at),
     // so tracing costs the thread fan-out only.
-    if (trace::activeRecorder() != nullptr
+    if (probe_.recorder != nullptr
         && config_.engine == SimEngine::ThreadedLanes)
         return SimEngine::Event;
     return config_.engine;
@@ -218,7 +217,7 @@ Neurocube::activeEngine() const
 SpatialTopology
 Neurocube::spatialTopology()
 {
-    SpatialRegistry *registry = spatialRegistry();
+    SpatialRegistry *registry = probe_.spatial;
     return registry ? registry->topology() : SpatialTopology{};
 }
 
@@ -226,7 +225,7 @@ SpatialSnapshot
 Neurocube::spatialSnapshot()
 {
     SpatialSnapshot snap;
-    SpatialRegistry *registry = spatialRegistry();
+    SpatialRegistry *registry = probe_.spatial;
     if (registry == nullptr)
         return snap;
     snap = registry->snapshot();
@@ -299,7 +298,7 @@ Neurocube::passLoop(PassScheduler *sched,
         // no component would have recorded an event at (the sleep
         // conditions guarantee it), so the stream matches the Legacy
         // every-tick stamping bit for bit.
-        NC_TRACE_TICK(t);
+        probe_.tick(t);
         if (sched == nullptr) {
             // Legacy reference body: tick every component, no wake
             // logic. tests/test_engine_diff.cc compares against it.
@@ -312,7 +311,7 @@ Neurocube::passLoop(PassScheduler *sched,
                 pe->tick(t, *fabric_);
         } else {
             sched->step(t);
-            emitSkipped(*sched);
+            emitSkipped(probe_, *sched);
         }
         // Done-ness only changes through actions at executed ticks,
         // so evaluating after every executed tick yields the Legacy
@@ -326,9 +325,9 @@ Neurocube::passLoop(PassScheduler *sched,
             done[g] = stamp;
             --pending;
             if (frame.batch) {
-                NC_TRACE(TraceComponent::Sim, groups[g].lane->index,
-                         TraceEventType::LaneDone, unsigned(frame.pass),
-                         stamp - frame.start);
+                probe_.event(TraceComponent::Sim, groups[g].lane->index,
+                             TraceEventType::LaneDone, unsigned(frame.pass),
+                             stamp - frame.start);
             }
         }
         if (stamp >= frame.deadline) {
@@ -449,10 +448,10 @@ Neurocube::runPass(const std::vector<CompletionGroup> &groups,
     // components until then. A single pass stamps the catch-up at
     // that end, a batch pass at its last executed tick.
     if (!batch && !scheds.empty())
-        NC_TRACE_TICK(final);
+        probe_.tick(final);
     for (auto &sched : scheds) {
         sched->catchupAll(final);
-        emitSkipped(*sched);
+        emitSkipped(probe_, *sched);
     }
     if (threaded) {
         fabric_->foldLaneStats();
@@ -518,18 +517,18 @@ Neurocube::runLayerOnGroups(const LayerDesc &layer,
     for (size_t g = 0; g < n; ++g)
         before[g] = sliceCounters(groups[g].slice);
 
-    MetricsRegistry *metrics = metricsRegistry();
+    MetricsRegistry *metrics = probe_.metrics;
     MetricsSnapshot metrics_before;
     if (metrics)
         metrics_before = metrics->snapshot();
 
-    SpatialRegistry *spatial = spatialRegistry();
+    SpatialRegistry *spatial = probe_.spatial;
     SpatialSnapshot spatial_before;
     if (spatial)
         spatial_before = spatialSnapshot();
 
 #if NEUROCUBE_TRACE_ENABLED
-    EnergyRegistry *energy = energyRegistry();
+    EnergyRegistry *energy = probe_.energy;
     EnergySnapshot energy_before;
     if (energy)
         energy_before = energy->snapshot();
@@ -542,7 +541,7 @@ Neurocube::runLayerOnGroups(const LayerDesc &layer,
         // The configure-time trace events of a single pass are
         // stamped after the configuration window, a batch pass's
         // before it.
-        NC_TRACE_TICK(batch ? now_ : now_ + config_.configTicksPerPass);
+        probe_.tick(batch ? now_ : now_ + config_.configTicksPerPass);
         now_ += config_.configTicksPerPass;
         const Tick start = runPass(groups, compiled, p, batch, done);
         for (size_t g = 0; g < n; ++g)

@@ -30,6 +30,7 @@
 #include "noc/fabric.hh"
 #include "pe/pe.hh"
 #include "png/png.hh"
+#include "trace/probe.hh"
 #include "trace/trace.hh"
 
 namespace neurocube
@@ -139,24 +140,12 @@ class Neurocube
     Tick now() const { return now_; }
 
     /**
-     * The stall-attribution counters of the active trace session, or
-     * nullptr (no session / metrics disabled / tracing compiled out).
+     * The telemetry sinks this machine's components publish to, filled
+     * from its own trace session. A sink is nullptr when its layer is
+     * off (no session, disabled in config.trace, or tracing compiled
+     * out). ServingSimulator publishes its request spans through it.
      */
-    MetricsRegistry *
-    metricsRegistry()
-    {
-        return traceSession_ ? traceSession_->metrics() : nullptr;
-    }
-
-    /**
-     * The spatial counters of the active trace session, or nullptr
-     * (no session / spatial disabled / tracing compiled out).
-     */
-    SpatialRegistry *
-    spatialRegistry()
-    {
-        return traceSession_ ? traceSession_->spatial() : nullptr;
-    }
+    const Probe &probe() const { return probe_; }
 
     /**
      * The machine shape the spatial counters describe (mesh width,
@@ -173,20 +162,6 @@ class Neurocube
      */
     SpatialSnapshot spatialSnapshot();
 
-#if NEUROCUBE_TRACE_ENABLED
-    /**
-     * The activity energy counters of the active trace session, or
-     * nullptr (no session / energy disabled). Like
-     * TraceSession::energy(), only compiled in NEUROCUBE_TRACE=ON
-     * builds, so notrace builds never reference EnergyRegistry.
-     */
-    EnergyRegistry *
-    energyRegistry()
-    {
-        return traceSession_ ? traceSession_->energy() : nullptr;
-    }
-#endif
-
     /** Total operand-cache spills beyond sub-bank capacity. */
     uint64_t
     totalCacheOverflows() const
@@ -199,9 +174,9 @@ class Neurocube
 
     /**
      * The engine the next pass will run on. Usually config().engine;
-     * while a trace-event recorder is live, ThreadedLanes demotes to
-     * Event (the recorder ring is single-producer, lane workers would
-     * race on it).
+     * while this machine's trace-event recorder is live, ThreadedLanes
+     * demotes to Event (the recorder ring belongs to one thread, lane
+     * workers would race on it).
      */
     SimEngine activeEngine() const;
 
@@ -280,8 +255,10 @@ class Neurocube
     NeurocubeConfig config_;
     StatGroup statGroup_;
 
-    /** Active tracing session (config_.trace.enabled only). */
+    /** This machine's tracing session (config_.trace.enabled only). */
     std::unique_ptr<TraceSession> traceSession_;
+    /** Sinks of traceSession_, handed to every component. */
+    Probe probe_;
 
     std::vector<std::unique_ptr<MemoryChannel>> channels_;
     std::unique_ptr<NocFabric> fabric_;

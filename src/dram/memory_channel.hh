@@ -34,7 +34,7 @@
 #include "dram/backing_store.hh"
 #include "dram/dram_params.hh"
 #include "noc/packet_ring.hh"
-#include "trace/trace.hh"
+#include "trace/probe.hh"
 
 namespace neurocube
 {
@@ -84,9 +84,11 @@ class MemoryChannel
      * @param parent stat group to hang this channel's stats under
      * @param name stat path component, e.g. "vault3"
      * @param trace_id vault/channel index used for trace events
+     * @param probe telemetry sinks (Probe{} = publish nothing)
      */
     MemoryChannel(const DramParams &params, StatGroup *parent,
-                  const std::string &name, uint16_t trace_id = 0);
+                  const std::string &name, uint16_t trace_id,
+                  Probe probe);
 
     /** True while the request queues have room. */
     bool
@@ -237,6 +239,7 @@ class MemoryChannel
     BackingStore store_;
     /** Vault/channel index published with trace events. */
     uint16_t traceId_;
+    Probe probe_;
 
     /**
      * Read queue and write buffer: the lookahead and FR-FCFS scans

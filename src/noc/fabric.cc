@@ -4,14 +4,13 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "trace/energy.hh"
-#include "trace/spatial.hh"
 
 namespace neurocube
 {
 
-NocFabric::NocFabric(const Config &config, StatGroup *parent)
-    : config_(config),
+NocFabric::NocFabric(const Config &config, StatGroup *parent,
+                     Probe probe)
+    : config_(config), probe_(probe),
       pePort_(config.numNodes),
       memPort_(config.numNodes),
       peDelivery_(config.numNodes, PacketRing(config.deliveryDepth)),
@@ -43,10 +42,9 @@ void
 NocFabric::publishSpatialTopology() const
 {
     // The Neurocube top level constructs its TraceSession before the
-    // fabric, so an active spatial registry already knows the node/
-    // vault/PE extents; the fabric contributes the link list. One-
-    // time, not a hot path — no macro needed.
-    SpatialRegistry *registry = spatial::activeRegistry();
+    // fabric, so the probe's spatial registry already knows the node/
+    // vault/PE extents; the fabric contributes the link list.
+    SpatialRegistry *registry = probe_.spatial;
     if (registry == nullptr)
         return;
     std::vector<SpatialLink> links;
@@ -76,7 +74,7 @@ NocFabric::buildMesh()
 
     for (unsigned i = 0; i < n; ++i) {
         routers_.push_back(std::make_unique<Router>(
-            rc, &statGroup_, "router" + std::to_string(i), i));
+            rc, &statGroup_, "router" + std::to_string(i), i, probe_));
         pePort_[i] = PortPe;
         memPort_[i] = PortMem;
     }
@@ -149,7 +147,7 @@ NocFabric::buildFullyConnected()
 
     for (unsigned i = 0; i < n; ++i) {
         routers_.push_back(std::make_unique<Router>(
-            rc, &statGroup_, "router" + std::to_string(i), i));
+            rc, &statGroup_, "router" + std::to_string(i), i, probe_));
         pePort_[i] = pe_port;
         memPort_[i] = mem_port;
     }
@@ -252,8 +250,7 @@ NocFabric::traverseLink(const Link &link, size_t index)
     // link-cycle. Cycles the event engine skips have every router
     // empty, so they would contribute zero — the integral is engine-
     // invariant without any bulk accounting.
-    NC_SPATIAL_EVENT(SpatialCounter::LinkOccupancy, index,
-                     out.size());
+    probe_.addSpatial(SpatialCounter::LinkOccupancy, index, out.size());
     unsigned budget = link.width;
     while (budget > 0 && !out.empty()
            && routers_[link.dstRouter]->inputSpace(link.dstPort)
@@ -276,18 +273,18 @@ NocFabric::traverseLink(const Link &link, size_t index)
             ++scratch_[link.srcRouter].linkFlits;
         else
             statLinkFlits_ += 1;
-        NC_SPATIAL_EVENT(SpatialCounter::LinkFlit, index, 1);
-        NC_ENERGY_EVENT(EnergyEventKind::NocLink, link.srcRouter,
-                        link.distance);
-        NC_TRACE(TraceComponent::Router, link.srcRouter,
-                 TraceEventType::LinkFlit, link.dstRouter);
+        probe_.addSpatial(SpatialCounter::LinkFlit, index, 1);
+        probe_.addEnergy(EnergyEventKind::NocLink, link.srcRouter,
+                         link.distance);
+        probe_.event(TraceComponent::Router, link.srcRouter,
+                     TraceEventType::LinkFlit, link.dstRouter);
     }
     // Credit starvation: a packet wanted this link but the
     // downstream FIFO was out of space. At most one stall per link
     // per executed cycle (a classification, not a flit count).
     if (budget > 0 && !out.empty()
         && routers_[link.dstRouter]->inputSpace(link.dstPort) == 0)
-        NC_SPATIAL_EVENT(SpatialCounter::LinkStall, index, 1);
+        probe_.addSpatial(SpatialCounter::LinkStall, index, 1);
 }
 
 void
@@ -314,9 +311,9 @@ NocFabric::ejectNode(unsigned node, Tick now)
                 statLatencySum_ += latency;
                 histLatency_.sample(latency);
             }
-            NC_TRACE(TraceComponent::Router, node,
-                     TraceEventType::PacketEject, is_mem ? 1 : 0,
-                     latency);
+            probe_.event(TraceComponent::Router, node,
+                         TraceEventType::PacketEject, is_mem ? 1 : 0,
+                         latency);
             sink.push_back(out.front());
             out.pop_front();
             --router.bufferedOutputs_;

@@ -60,8 +60,10 @@ class NocFabric
     /**
      * @param config structural parameters
      * @param parent stat group parent
+     * @param probe telemetry sinks, shared with every router
+     *        (Probe{} = publish nothing)
      */
-    NocFabric(const Config &config, StatGroup *parent);
+    NocFabric(const Config &config, StatGroup *parent, Probe probe);
 
     /** Space available for PNG injection at node v. */
     unsigned
@@ -297,7 +299,7 @@ class NocFabric
     void buildMesh();
     void buildFullyConnected();
     void accountInjection(unsigned node, const Packet &packet);
-    /** Publish link endpoints to an active SpatialRegistry. */
+    /** Publish link endpoints to the probe's SpatialRegistry. */
     void publishSpatialTopology() const;
     /** Move packets across one link (phase 2 body). @p index is the
      *  link's ordinal in links_ (spatial counter instance). */
@@ -319,6 +321,7 @@ class NocFabric
     };
 
     Config config_;
+    Probe probe_;
     unsigned meshWidth_ = 0;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<Link> links_;

@@ -1,15 +1,14 @@
 #include "noc/router.hh"
 
 #include "common/logging.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
 
 namespace neurocube
 {
 
 Router::Router(const Config &config, StatGroup *parent,
-               const std::string &name, unsigned trace_id)
-    : config_(config), traceId_(uint16_t(trace_id)),
+               const std::string &name, unsigned trace_id,
+               Probe probe)
+    : config_(config), traceId_(uint16_t(trace_id)), probe_(probe),
       inputQueue_(config.numPorts, PacketRing(config.bufferDepth)),
       outputQueue_(config.numPorts, PacketRing(config.bufferDepth)),
       routeTable_(2 * config.numNodes, ~0u),
@@ -38,8 +37,7 @@ Router::skipTicks(uint64_t n)
 {
     nc_assert(idle(), "router skipTicks while packets are buffered");
     priority_ = unsigned((priority_ + n) % config_.numPorts);
-    NC_METRIC_CYCLES(TraceComponent::Router, traceId_,
-                     StallClass::Idle, n);
+    probe_.cycles(TraceComponent::Router, traceId_, StallClass::Idle, n);
 }
 
 void
@@ -51,8 +49,8 @@ Router::tick()
         // Nothing to switch; just rotate the daisy chain. Output
         // FIFOs may still hold packets waiting for link slots, but
         // that wait is the link's cycle, not this crossbar's.
-        NC_METRIC_CYCLE(TraceComponent::Router, traceId_,
-                        idle() ? StallClass::Idle : StallClass::Busy);
+        probe_.cycle(TraceComponent::Router, traceId_,
+                     idle() ? StallClass::Idle : StallClass::Busy);
         advancePriority();
         return;
     }
@@ -83,8 +81,8 @@ Router::tick()
                 // reorder behind the blocked head.
                 statBlocked_ += 1;
                 blocked = true;
-                NC_TRACE(TraceComponent::Router, traceId_,
-                         TraceEventType::FlitBlocked, in);
+                probe_.event(TraceComponent::Router, traceId_,
+                             TraceEventType::FlitBlocked, in);
                 break;
             }
             outputQueue_[out].push_back(head);
@@ -93,10 +91,10 @@ Router::tick()
             ++bufferedOutputs_;
             --outBudget_[out];
             statSwitched_ += 1;
-            NC_ENERGY_EVENT(EnergyEventKind::NocHop, traceId_, 1);
-            NC_TRACE(TraceComponent::Router, traceId_,
-                     TraceEventType::FlitSwitch, out,
-                     outputQueue_[out].size());
+            probe_.addEnergy(EnergyEventKind::NocHop, traceId_, 1);
+            probe_.event(TraceComponent::Router, traceId_,
+                         TraceEventType::FlitSwitch, out,
+                         outputQueue_[out].size());
         }
     }
 
@@ -104,9 +102,9 @@ Router::tick()
     // where any input sat behind a full output is the congestion
     // signal, even if other inputs still made progress. With no
     // block, a buffered input always switched (wormhole invariant).
-    NC_METRIC_CYCLE(TraceComponent::Router, traceId_,
-                    blocked ? StallClass::StallNocCredit
-                            : StallClass::Busy);
+    probe_.cycle(TraceComponent::Router, traceId_,
+                 blocked ? StallClass::StallNocCredit
+                         : StallClass::Busy);
 
     // Rotate the daisy chain (priorities update every clock cycle).
     advancePriority();

@@ -27,7 +27,7 @@
 #include "common/types.hh"
 #include "noc/packet.hh"
 #include "noc/packet_ring.hh"
-#include "trace/trace.hh"
+#include "trace/probe.hh"
 
 namespace neurocube
 {
@@ -79,9 +79,10 @@ class Router
      * @param parent stat group parent
      * @param name stat path component, e.g. "router5"
      * @param trace_id node index used for trace events
+     * @param probe telemetry sinks (Probe{} = publish nothing)
      */
     Router(const Config &config, StatGroup *parent,
-           const std::string &name, unsigned trace_id = 0);
+           const std::string &name, unsigned trace_id, Probe probe);
 
     /** Install the output port for a destination index. */
     void setRoute(unsigned route_index, unsigned out_port);
@@ -111,9 +112,9 @@ class Router
                   "push into full input FIFO (credit violation)");
         inputQueue_[port].push_back(packet);
         ++bufferedInputs_;
-        NC_TRACE(TraceComponent::Router, traceId_,
-                 TraceEventType::FlitEnqueue, port,
-                 inputQueue_[port].size());
+        probe_.event(TraceComponent::Router, traceId_,
+                     TraceEventType::FlitEnqueue, port,
+                     inputQueue_[port].size());
     }
 
     /** Total packets currently waiting in input FIFOs. */
@@ -171,6 +172,7 @@ class Router
     Config config_;
     /** Node index published with trace events. */
     uint16_t traceId_;
+    Probe probe_;
     std::vector<PacketRing> inputQueue_;
     std::vector<PacketRing> outputQueue_;
     std::vector<unsigned> routeTable_;

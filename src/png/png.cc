@@ -1,15 +1,14 @@
 #include "png/png.hh"
 
 #include "common/logging.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
 
 namespace neurocube
 {
 
 Png::Png(VaultId id, const PngParams &params, MemoryChannel &channel,
-         NocFabric &fabric, StatGroup *parent)
+         NocFabric &fabric, StatGroup *parent, Probe probe)
     : id_(id), params_(params), channel_(channel), fabric_(fabric),
+      probe_(probe),
       lut_(&sharedLut(ActivationKind::Identity)),
       statGroup_(parent, "png" + std::to_string(id)),
       statIssued_(&statGroup_, "issued", "element reads issued"),
@@ -33,8 +32,8 @@ Png::tracePhase(PngFsmPhase phase, unsigned plane)
         return;
     tracePhase_ = phase;
     tracePlane_ = plane;
-    NC_TRACE(TraceComponent::Png, id_, TraceEventType::PngPhase,
-             uint32_t(phase), plane);
+    probe_.event(TraceComponent::Png, id_, TraceEventType::PngPhase,
+                 uint32_t(phase), plane);
 #else
     (void)phase;
     (void)plane;
@@ -64,7 +63,7 @@ void
 Png::tick(Tick now)
 {
     if (!program_.enabled) {
-        NC_METRIC_CYCLE(TraceComponent::Png, id_, StallClass::Idle);
+        probe_.cycle(TraceComponent::Png, id_, StallClass::Idle);
         return;
     }
     histOutQueueDepth_.sample(outQueue_.size());
@@ -94,9 +93,9 @@ Png::tick(Tick now)
         statIssued_ += 1;
     }
     if (issued > 0) {
-        NC_ENERGY_EVENT(EnergyEventKind::PngOp, id_, issued);
-        NC_TRACE(TraceComponent::Png, id_, TraceEventType::PngIssue,
-                 0, issued);
+        probe_.addEnergy(EnergyEventKind::PngOp, id_, issued);
+        probe_.event(TraceComponent::Png, id_, TraceEventType::PngIssue,
+                     0, issued);
     }
 
     // 2. Encapsulate returned data into packets. Completions may be
@@ -137,9 +136,9 @@ Png::tick(Tick now)
     }
     if (!outQueue_.empty() && injected == 0) {
         statInjectStallTicks_ += 1;
-        NC_TRACE(TraceComponent::Png, id_,
-                 TraceEventType::PngInjectStall, 0,
-                 outQueue_.size());
+        probe_.event(TraceComponent::Png, id_,
+                     TraceEventType::PngInjectStall, 0,
+                     outQueue_.size());
     }
 
     // 4. Absorb write-backs: activation LUT, then write to the vault.
@@ -171,7 +170,7 @@ Png::tick(Tick now)
         statWriteBacks_ += 1;
     }
     if (absorbed > 0) {
-        NC_ENERGY_EVENT(EnergyEventKind::PngOp, id_, absorbed);
+        probe_.addEnergy(EnergyEventKind::PngOp, id_, absorbed);
         if (perPlaneWb_ > 0) {
             allowedPlane_ = unsigned(wbReceived_ / perPlaneWb_)
                           + planeWindow;
@@ -198,7 +197,7 @@ Png::tick(Tick now)
     } else {
         cls = StallClass::Idle;
     }
-    NC_METRIC_CYCLE(TraceComponent::Png, id_, cls);
+    probe_.cycle(TraceComponent::Png, id_, cls);
 
 #if NEUROCUBE_TRACE_ENABLED
     // Counter-FSM phase for the trace: generating while addresses
@@ -247,8 +246,7 @@ Png::skipTicks(Tick from, Tick to)
     nc_assert(from < to, "empty PNG skip window");
     const uint64_t n = to - from;
     if (!program_.enabled) {
-        NC_METRIC_CYCLES(TraceComponent::Png, id_, StallClass::Idle,
-                         n);
+        probe_.cycles(TraceComponent::Png, id_, StallClass::Idle, n);
         return;
     }
     // The sleep condition guarantees an empty out-queue and that no
@@ -265,7 +263,7 @@ Png::skipTicks(Tick from, Tick to)
     } else {
         cls = StallClass::Idle;
     }
-    NC_METRIC_CYCLES(TraceComponent::Png, id_, cls, n);
+    probe_.cycles(TraceComponent::Png, id_, cls, n);
 }
 
 } // namespace neurocube

@@ -4,8 +4,6 @@
 
 #include "common/logging.hh"
 #include "serving/spans.hh"
-#include "trace/metrics.hh"
-#include "trace/trace.hh"
 
 namespace neurocube
 {
@@ -25,17 +23,18 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
     res.requests.resize(n);
     res.arrivalSpan = arrivals.span();
 
-    RequestQueue queue(config_.queueDepth);
+    const Probe probe = cube_.probe();
+    RequestQueue queue(config_.queueDepth, probe);
     BatchScheduler scheduler(config_.scheduler);
 
     const Tick start = cube_.now();
 
-    MetricsRegistry *metrics = cube_.metricsRegistry();
+    MetricsRegistry *metrics = probe.metrics;
     MetricsSnapshot metrics_before;
     if (metrics)
         metrics_before = metrics->snapshot();
 
-    SpatialRegistry *spatial = cube_.spatialRegistry();
+    SpatialRegistry *spatial = probe.spatial;
     SpatialSnapshot spatial_before;
     if (spatial)
         spatial_before = cube_.spatialSnapshot();
@@ -52,13 +51,13 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
             RequestRecord &rec = res.requests[next];
             rec.id = next;
             rec.arrival = at;
-            NC_TRACE_TICK(at);
+            probe.tick(at);
             if (!queue.offer({next, at}, at)) {
                 rec.dropped = true;
                 ++res.dropped;
-                NC_TRACE(TraceComponent::Sim, 0,
-                         TraceEventType::ServeRequestDone,
-                         unsigned(next), uint64_t(0));
+                probe.event(TraceComponent::Sim, 0,
+                            TraceEventType::ServeRequestDone,
+                            unsigned(next), uint64_t(0));
             } else {
                 // Admission decides at the arrival tick, so an
                 // admitted request's admit stamp is its arrival.
@@ -99,17 +98,17 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
 
         cube_.setBatchLanes(lanes);
         const Tick dispatch = cube_.now();
-        NC_TRACE_TICK(dispatch);
+        probe.tick(dispatch);
         const unsigned batch_size =
             unsigned(std::min<size_t>(lanes, queue.size()));
         std::vector<uint64_t> ids(batch_size);
         for (unsigned i = 0; i < batch_size; ++i)
             ids[i] = queue.pop(dispatch).id;
         for (uint64_t id : ids) {
-            NC_TRACE(TraceComponent::Sim, 0,
-                     TraceEventType::ServeRequestDispatch,
-                     unsigned(id),
-                     uint64_t(dispatch - res.requests[id].arrival));
+            probe.event(TraceComponent::Sim, 0,
+                        TraceEventType::ServeRequestDispatch,
+                        unsigned(id),
+                        uint64_t(dispatch - res.requests[id].arrival));
         }
 
         std::vector<Tensor> inputs(batch_size, input);
@@ -121,7 +120,7 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
         for (const RunResult &lane_run : batch.lanes)
             res.energy += lane_run.energyCounts();
 
-        NC_TRACE_TICK(done);
+        probe.tick(done);
         for (uint64_t id : ids) {
             RequestRecord &rec = res.requests[id];
             rec.dispatch = dispatch;
@@ -130,9 +129,9 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
             rec.lanes = lanes;
             res.latency.sample(done - rec.arrival);
             ++res.served;
-            NC_TRACE(TraceComponent::Sim, 0,
-                     TraceEventType::ServeRequestDone, unsigned(id),
-                     uint64_t(done - rec.arrival));
+            probe.event(TraceComponent::Sim, 0,
+                        TraceEventType::ServeRequestDone, unsigned(id),
+                        uint64_t(done - rec.arrival));
         }
     }
 

@@ -75,25 +75,6 @@ EnergyRegistry::reset()
     }
 }
 
-namespace energy
-{
-
-namespace detail
-{
-
-/** The process-wide registry slot NC_ENERGY_EVENT loads. */
-EnergyRegistry *g_activeRegistry = nullptr;
-
-} // namespace detail
-
-void
-setActiveRegistry(EnergyRegistry *registry)
-{
-    detail::g_activeRegistry = registry;
-}
-
-} // namespace energy
-
 double
 tracePjOf(const TraceEvent &event, const EnergyPrices &prices)
 {

@@ -4,8 +4,8 @@
  *
  * Every simulated component publishes its energy-bearing activity
  * (MAC operations, operand-cache accesses, buffer writes, flit hops,
- * DRAM bits, ...) through the NC_ENERGY_EVENT macro into an
- * EnergyRegistry owned by the active TraceSession — the same
+ * DRAM bits, ...) through its Probe (trace/probe.hh) into the
+ * EnergyRegistry owned by its machine's TraceSession — the same
  * publish/snapshot/delta shape as the stall-attribution metrics in
  * trace/metrics.hh. Counting is a single array increment; pricing
  * (counts x pJ) happens at report time in power/activity_energy.hh,
@@ -14,8 +14,8 @@
  * The accounting is observational only: recording an event never
  * alters component behaviour, so enabling energy accounting cannot
  * change simulated cycle counts (tests/test_golden_cycles.cc
- * asserts this). With -DNEUROCUBE_TRACE=OFF the macro compiles to
- * nothing and no EnergyRegistry is ever created.
+ * asserts this). With -DNEUROCUBE_TRACE=OFF the publish calls
+ * compile to nothing and no EnergyRegistry is ever created.
  */
 
 #ifndef NEUROCUBE_TRACE_ENERGY_HH
@@ -28,10 +28,6 @@
 
 #include "common/types.hh"
 #include "trace/events.hh"
-
-#ifndef NEUROCUBE_TRACE_ENABLED
-#define NEUROCUBE_TRACE_ENABLED 1
-#endif
 
 namespace neurocube
 {
@@ -125,7 +121,7 @@ struct EnergySnapshot
 
 /**
  * The live activity counters, owned by the TraceSession and fed by
- * NC_ENERGY_EVENT. Instances must be sized with configure() before
+ * Probe::addEnergy. Instances must be sized with configure() before
  * counting; events for unknown instances are dropped (never
  * undefined behaviour).
  */
@@ -156,31 +152,6 @@ class EnergyRegistry
   private:
     EnergySnapshot state_;
 };
-
-namespace energy
-{
-
-namespace detail
-{
-/** Storage behind activeRegistry() (do not touch directly). */
-extern EnergyRegistry *g_activeRegistry;
-} // namespace detail
-
-/**
- * The process-wide registry NC_ENERGY_EVENT publishes to, or nullptr
- * while energy accounting is off (mirrors metrics::activeRegistry()).
- * Inline so the per-event sites reduce to one load + branch.
- */
-inline EnergyRegistry *
-activeRegistry()
-{
-    return detail::g_activeRegistry;
-}
-
-/** Install (or, with nullptr, remove) the active registry. */
-void setActiveRegistry(EnergyRegistry *registry);
-
-} // namespace energy
 
 /**
  * Per-event energy prices in picojoules, the flat plain-data form
@@ -232,43 +203,5 @@ struct EnergyPrices
 double tracePjOf(const TraceEvent &event, const EnergyPrices &prices);
 
 } // namespace neurocube
-
-#if NEUROCUBE_TRACE_ENABLED
-
-/**
- * Count energy-bearing activity: NC_ENERGY_EVENT(kind, instance,
- * amount). Compiles to a null-check while energy accounting is
- * inactive and to nothing with -DNEUROCUBE_TRACE=OFF.
- */
-#define NC_ENERGY_EVENT(kind, instance, amount) \
-    do { \
-        if (::neurocube::EnergyRegistry *nc_energy_r_ = \
-                ::neurocube::energy::activeRegistry()) { \
-            nc_energy_r_->add((kind), unsigned(instance), \
-                              uint64_t(amount)); \
-        } \
-    } while (0)
-
-#else
-
-namespace neurocube::energy::detail
-{
-/** Marks macro arguments as used in NEUROCUBE_TRACE=OFF builds. */
-template <typename... Args>
-inline void
-ignore(Args &&...)
-{
-}
-} // namespace neurocube::energy::detail
-
-#define NC_ENERGY_EVENT(kind, instance, amount) \
-    do { \
-        if (false) { \
-            ::neurocube::energy::detail::ignore( \
-                (kind), (instance), (amount)); \
-        } \
-    } while (0)
-
-#endif // NEUROCUBE_TRACE_ENABLED
 
 #endif // NEUROCUBE_TRACE_ENERGY_HH

@@ -5,8 +5,8 @@
  * A TraceEvent is a fixed-size plain-old-data record: the tick it
  * happened at, which component class and instance produced it, a
  * type tag, and two payload fields whose meaning depends on the type
- * (documented per enumerator). Components publish events through the
- * NC_TRACE macro in trace/trace.hh; exporters interpret them.
+ * (documented per enumerator). Components publish events through
+ * Probe::event (trace/probe.hh); exporters interpret them.
  */
 
 #ifndef NEUROCUBE_TRACE_EVENTS_HH

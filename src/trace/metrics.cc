@@ -60,14 +60,6 @@ MetricsRegistry::reset()
         std::fill(vec.begin(), vec.end(), StallBreakdown{});
 }
 
-namespace metrics::detail
-{
-
-/** The process-wide registry slot NC_METRIC_CYCLE loads. */
-MetricsRegistry *g_activeRegistry = nullptr;
-
-} // namespace metrics::detail
-
 namespace
 {
 
@@ -112,17 +104,6 @@ constexpr double kDramBound = 0.25;
 constexpr double kIdleFloor = 0.05;
 
 } // namespace
-
-namespace metrics
-{
-
-void
-setActiveRegistry(MetricsRegistry *registry)
-{
-    detail::g_activeRegistry = registry;
-}
-
-} // namespace metrics
 
 BottleneckReport
 buildBottleneckReport(const MetricsSnapshot &delta,

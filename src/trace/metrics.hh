@@ -3,10 +3,10 @@
  * Stall-attribution metrics: cheap per-component cycle accounting.
  *
  * Every ticked component (router, PE, PNG, memory channel) classifies
- * each of its cycles into one StallClass through the NC_METRIC_CYCLE
- * macro. The counters live in a MetricsRegistry owned by the active
- * TraceSession; with no session (or with -DNEUROCUBE_TRACE=OFF, which
- * compiles the macro away) the accounting costs nothing.
+ * each of its cycles into one StallClass through its Probe's cycle()
+ * (trace/probe.hh). The counters live in a MetricsRegistry owned by
+ * the machine's TraceSession; with no session the accounting is a
+ * null-check, and with -DNEUROCUBE_TRACE=OFF it compiles away.
  *
  * Unlike the event bus in trace/trace.hh, which records *what
  * happened*, this layer answers *where the cycles went*: snapshots
@@ -31,10 +31,6 @@
 
 #include "common/types.hh"
 #include "trace/events.hh"
-
-#ifndef NEUROCUBE_TRACE_ENABLED
-#define NEUROCUBE_TRACE_ENABLED 1
-#endif
 
 namespace neurocube
 {
@@ -136,7 +132,7 @@ struct MetricsSnapshot
 
 /**
  * The live cycle-accounting counters, owned by the TraceSession and
- * fed by NC_METRIC_CYCLE. Instances must be sized with configure()
+ * fed by Probe::cycle(s). Instances must be sized with configure()
  * before counting; cycles reported for unknown instances are dropped
  * (never undefined behaviour).
  */
@@ -182,31 +178,6 @@ class MetricsRegistry
   private:
     MetricsSnapshot state_;
 };
-
-namespace metrics
-{
-
-namespace detail
-{
-/** Storage behind activeRegistry() (do not touch directly). */
-extern MetricsRegistry *g_activeRegistry;
-} // namespace detail
-
-/**
- * The process-wide registry NC_METRIC_CYCLE publishes to, or nullptr
- * while metrics are off (mirrors trace::activeRecorder()). Inline so
- * the per-tick instrumentation sites reduce to one load + branch.
- */
-inline MetricsRegistry *
-activeRegistry()
-{
-    return detail::g_activeRegistry;
-}
-
-/** Install (or, with nullptr, remove) the active registry. */
-void setActiveRegistry(MetricsRegistry *registry);
-
-} // namespace metrics
 
 /** Five-number summary of one Histogram (for reports/JSON). */
 struct HistogramSummary
@@ -294,65 +265,5 @@ buildBottleneckReport(const MetricsSnapshot &delta,
                       const std::vector<unsigned> *nodes = nullptr);
 
 } // namespace neurocube
-
-#if NEUROCUBE_TRACE_ENABLED
-
-/**
- * Classify one component cycle: NC_METRIC_CYCLE(component, instance,
- * stallClass). Compiles to a null-check while metrics are inactive
- * and to nothing with -DNEUROCUBE_TRACE=OFF.
- */
-#define NC_METRIC_CYCLE(component, instance, cls) \
-    do { \
-        if (::neurocube::MetricsRegistry *nc_metric_r_ = \
-                ::neurocube::metrics::activeRegistry()) { \
-            nc_metric_r_->cycle((component), unsigned(instance), \
-                                (cls)); \
-        } \
-    } while (0)
-
-/**
- * Classify @p n identical component cycles at once (bulk accounting
- * for skipped stretches): NC_METRIC_CYCLES(component, instance,
- * stallClass, n).
- */
-#define NC_METRIC_CYCLES(component, instance, cls, n) \
-    do { \
-        if (::neurocube::MetricsRegistry *nc_metric_r_ = \
-                ::neurocube::metrics::activeRegistry()) { \
-            nc_metric_r_->cycles((component), unsigned(instance), \
-                                 (cls), (n)); \
-        } \
-    } while (0)
-
-#else
-
-namespace neurocube::metrics::detail
-{
-/** Marks macro arguments as used in NEUROCUBE_TRACE=OFF builds. */
-template <typename... Args>
-inline void
-ignore(Args &&...)
-{
-}
-} // namespace neurocube::metrics::detail
-
-#define NC_METRIC_CYCLE(component, instance, cls) \
-    do { \
-        if (false) { \
-            ::neurocube::metrics::detail::ignore( \
-                (component), (instance), (cls)); \
-        } \
-    } while (0)
-
-#define NC_METRIC_CYCLES(component, instance, cls, n) \
-    do { \
-        if (false) { \
-            ::neurocube::metrics::detail::ignore( \
-                (component), (instance), (cls), (n)); \
-        } \
-    } while (0)
-
-#endif // NEUROCUBE_TRACE_ENABLED
 
 #endif // NEUROCUBE_TRACE_METRICS_HH

@@ -137,25 +137,6 @@ SpatialRegistry::reset()
     zero(state_.peMacOps);
 }
 
-namespace spatial
-{
-
-namespace detail
-{
-
-/** The process-wide registry slot NC_SPATIAL_EVENT loads. */
-SpatialRegistry *g_activeRegistry = nullptr;
-
-} // namespace detail
-
-void
-setActiveRegistry(SpatialRegistry *registry)
-{
-    detail::g_activeRegistry = registry;
-}
-
-} // namespace spatial
-
 std::string
 spatialSnapshotJson(const SpatialTopology &topology,
                     const SpatialSnapshot &snapshot, uint64_t cycles)

@@ -8,8 +8,8 @@
  * traversals, credit-stall cycles, and source-queue occupancy; every
  * vault channel counts its DRAM bytes and queue-depth integral; every
  * PE counts its active MAC operations. The counters live in a
- * SpatialRegistry owned by the active TraceSession and are published
- * through the NC_SPATIAL_EVENT macro — the same publish/snapshot/
+ * SpatialRegistry owned by the machine's TraceSession and are
+ * published through its Probe — the same publish/snapshot/
  * delta shape as the other two registries, with the same costs: one
  * array increment while a session is live, a null-check while not,
  * and nothing at all with -DNEUROCUBE_TRACE=OFF.
@@ -34,10 +34,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-#ifndef NEUROCUBE_TRACE_ENABLED
-#define NEUROCUBE_TRACE_ENABLED 1
-#endif
 
 namespace neurocube
 {
@@ -146,7 +142,7 @@ struct SpatialSnapshot
 
 /**
  * The live spatial counters, owned by the TraceSession and fed by
- * NC_SPATIAL_EVENT. Instances must be sized with configure() /
+ * Probe::addSpatial. Instances must be sized with configure() /
  * configureLinks() before counting; events for unknown instances are
  * dropped (never undefined behaviour).
  */
@@ -222,32 +218,6 @@ class SpatialRegistry
     SpatialSnapshot state_;
 };
 
-namespace spatial
-{
-
-namespace detail
-{
-/** Storage behind activeRegistry() (do not touch directly). */
-extern SpatialRegistry *g_activeRegistry;
-} // namespace detail
-
-/**
- * The process-wide registry NC_SPATIAL_EVENT publishes to, or
- * nullptr while the spatial layer is off (mirrors
- * metrics::activeRegistry()). Inline so the per-event sites reduce
- * to one load + branch.
- */
-inline SpatialRegistry *
-activeRegistry()
-{
-    return detail::g_activeRegistry;
-}
-
-/** Install (or, with nullptr, remove) the active registry. */
-void setActiveRegistry(SpatialRegistry *registry);
-
-} // namespace spatial
-
 /**
  * Serialize one snapshot + topology as a JSON object (no trailing
  * newline): the mesh shape, per-link records with node endpoints,
@@ -277,43 +247,5 @@ SpatialSnapshot filterSnapshotToNodes(
     const std::vector<unsigned> &nodes);
 
 } // namespace neurocube
-
-#if NEUROCUBE_TRACE_ENABLED
-
-/**
- * Count spatially resolved activity: NC_SPATIAL_EVENT(counter,
- * instance, amount). Compiles to a null-check while no spatial
- * registry is active and to nothing with -DNEUROCUBE_TRACE=OFF.
- */
-#define NC_SPATIAL_EVENT(counter, instance, amount) \
-    do { \
-        if (::neurocube::SpatialRegistry *nc_spatial_r_ = \
-                ::neurocube::spatial::activeRegistry()) { \
-            nc_spatial_r_->add((counter), unsigned(instance), \
-                               uint64_t(amount)); \
-        } \
-    } while (0)
-
-#else
-
-namespace neurocube::spatial::detail
-{
-/** Marks macro arguments as used in NEUROCUBE_TRACE=OFF builds. */
-template <typename... Args>
-inline void
-ignore(Args &&...)
-{
-}
-} // namespace neurocube::spatial::detail
-
-#define NC_SPATIAL_EVENT(counter, instance, amount) \
-    do { \
-        if (false) { \
-            ::neurocube::spatial::detail::ignore( \
-                (counter), (instance), (amount)); \
-        } \
-    } while (0)
-
-#endif // NEUROCUBE_TRACE_ENABLED
 
 #endif // NEUROCUBE_TRACE_SPATIAL_HH

@@ -4,7 +4,7 @@
  *
  * Kept free of heavy includes so core/config.hh can embed it. The
  * compile-time switch is separate: building with -DNEUROCUBE_TRACE=OFF
- * removes every instrumentation site (the NC_TRACE macro expands to
+ * removes every instrumentation site (Probe publish calls compile to
  * nothing), in which case this struct is inert.
  */
 
@@ -32,14 +32,6 @@ struct TraceConfig
 
     /** Windowed time-series CSV output path; empty = no CSV export. */
     std::string timeseriesCsvPath;
-
-    /**
-     * Live binary stream output path (typically a named pipe); empty
-     * = no live stream. Unlike the exporters above, events written
-     * here are drained continuously by a consumer thread so a viewer
-     * on the other end sees them while the run is in flight.
-     */
-    std::string streamPath;
 
     /**
      * Stall-attribution cycle accounting (trace/metrics.hh). On by

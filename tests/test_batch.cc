@@ -413,8 +413,7 @@ TEST(Batch, OneLaneWholeMeshMatchesRunForward)
 {
     // A one-lane batch is the whole machine as a single completion
     // group, so on a fresh machine it must report exactly what
-    // runForward does. Each cube is built and torn down before the
-    // next one: the trace registries are process-global.
+    // runForward does. Each path gets its own fresh machine.
     NetworkDesc net = convFcNet();
     NetworkData data = NetworkData::randomized(net, 7);
     Tensor input = laneInputs(net, 1, 700).front();

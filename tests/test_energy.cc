@@ -299,20 +299,24 @@ TEST(EnergyJsonTest, Fig12JsonCarriesBreakdown)
     EXPECT_EQ(entries, run.layers.size());
 }
 
-#else // !NEUROCUBE_TRACE_ENABLED
+#endif // NEUROCUBE_TRACE_ENABLED
 
-/** Notrace builds: the macro counts nothing and runs stay invalid. */
-TEST(EnergyCrossValidationTest, NotraceRunsCarryNoCounts)
+/**
+ * A probe publishes only to the registry it holds, and an empty probe
+ * is a safe no-op. Notrace builds compile the publish out: even a
+ * populated probe counts nothing.
+ */
+TEST(EnergyCrossValidationTest, ProbePublishesToItsRegistry)
 {
     EnergyRegistry reg;
     reg.configure(1);
-    energy::setActiveRegistry(&reg);
-    NC_ENERGY_EVENT(EnergyEventKind::MacOp, 0, 5);
-    energy::setActiveRegistry(nullptr);
-    EXPECT_EQ(reg.snapshot().sum()[EnergyEventKind::MacOp], 0u);
+    Probe{}.addEnergy(EnergyEventKind::MacOp, 0, 7);
+    Probe probe;
+    probe.energy = &reg;
+    probe.addEnergy(EnergyEventKind::MacOp, 0, 5);
+    EXPECT_EQ(reg.snapshot().sum()[EnergyEventKind::MacOp],
+              NEUROCUBE_TRACE_ENABLED ? 5u : 0u);
 }
-
-#endif // NEUROCUBE_TRACE_ENABLED
 
 } // namespace
 } // namespace neurocube

@@ -544,7 +544,7 @@ TEST(EngineDiff, ActiveEngineUnderLiveRecorder)
         EXPECT_EQ(cube.activeEngine(), SimEngine::Event);
     }
 
-    // The recorder ring is single-producer, so ThreadedLanes demotes
+    // The recorder ring is single-threaded, so ThreadedLanes demotes
     // to Event (not Legacy) while the recorder is live.
     config.engine = SimEngine::ThreadedLanes;
     {
@@ -560,6 +560,25 @@ TEST(EngineDiff, ActiveEngineUnderLiveRecorder)
     metrics_only.trace.energy = true;
     {
         Neurocube cube(metrics_only);
+        EXPECT_EQ(cube.activeEngine(), SimEngine::ThreadedLanes);
+    }
+    removeSinkFiles(tag);
+}
+
+TEST(EngineDiff, OtherMachinesRecorderDoesNotDemote)
+{
+    // Demotion follows the machine's own recorder: an untraced
+    // ThreadedLanes machine built while a traced one is alive keeps
+    // its worker threads.
+    const std::string tag = "engine_diff_other";
+    NeurocubeConfig traced;
+    traced.trace.enabled = true;
+    addSampledSinks(traced, tag, 8);
+    NeurocubeConfig untraced;
+    untraced.engine = SimEngine::ThreadedLanes;
+    {
+        Neurocube recording(traced);
+        Neurocube cube(untraced);
         EXPECT_EQ(cube.activeEngine(), SimEngine::ThreadedLanes);
     }
     removeSinkFiles(tag);

@@ -6,10 +6,15 @@
  * touch shared state without the fabric's per-node scratch detour.
  * The checks themselves are determinism checks — a data race that
  * corrupts counters shows up as a cross-engine mismatch even when
- * tsan is not watching.
+ * tsan is not watching. The last two tests keep two traced machines
+ * alive in one process, in turn and on two threads: each must
+ * report exactly the telemetry it reports alone.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
 
 #include "core/neurocube.hh"
 #include "nn/reference.hh"
@@ -181,6 +186,113 @@ TEST(EngineThreads, PartialBatchParksTrailingLanesThreaded)
         }
     }
     EXPECT_EQ(cube.fabric().crossLanePackets(), 0u);
+}
+
+/** A single-lane machine with every telemetry registry live. */
+NeurocubeConfig
+telemetryConfig()
+{
+    NeurocubeConfig config;
+#if NEUROCUBE_TRACE_ENABLED
+    config.trace.enabled = true;
+    config.trace.metrics = true;
+    config.trace.energy = true;
+    config.trace.spatial = true;
+#endif
+    return config;
+}
+
+/** What one forward run reports through the machine's registries. */
+struct Telemetry
+{
+    Tick cycles = 0;
+    std::string metrics;
+    std::string energy;
+    std::string spatial;
+};
+
+Telemetry
+forwardTelemetry(Neurocube &cube)
+{
+    RunResult run = cube.runForward();
+    return {run.totalCycles(), run.metricsJson(), run.energyJson(),
+            run.spatialJson()};
+}
+
+void
+expectSameTelemetry(const Telemetry &got, const Telemetry &want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.metrics, want.metrics);
+    EXPECT_EQ(got.energy, want.energy);
+    EXPECT_EQ(got.spatial, want.spatial);
+}
+
+/** Two machines on one net, fed different inputs. */
+struct MachinePair
+{
+    NetworkDesc net = convFcNet();
+    NetworkData data = NetworkData::randomized(net, 25);
+    std::vector<Tensor> inputs = laneInputs(net, 2, 2500);
+
+    /** A fresh machine loaded with input @p which. */
+    std::unique_ptr<Neurocube>
+    machine(unsigned which) const
+    {
+        auto cube = std::make_unique<Neurocube>(telemetryConfig());
+        cube->loadNetwork(net, data);
+        cube->setInput(inputs[which]);
+        return cube;
+    }
+
+    /** @p runs forward runs of machine @p which, alone in the process. */
+    std::vector<Telemetry>
+    solo(unsigned which, unsigned runs) const
+    {
+        std::unique_ptr<Neurocube> cube = machine(which);
+        std::vector<Telemetry> out;
+        for (unsigned r = 0; r < runs; ++r)
+            out.push_back(forwardTelemetry(*cube));
+        return out;
+    }
+};
+
+TEST(EngineThreads, TwoLiveMachinesKeepTheirOwnTelemetry)
+{
+    MachinePair pair;
+    std::vector<Telemetry> solo_a = pair.solo(0, 2);
+    std::vector<Telemetry> solo_b = pair.solo(1, 1);
+
+    // Both alive at once, run A, B, A: every run publishes to its
+    // own machine's registries only.
+    std::unique_ptr<Neurocube> a = pair.machine(0);
+    std::unique_ptr<Neurocube> b = pair.machine(1);
+    Telemetry a1 = forwardTelemetry(*a);
+    Telemetry b1 = forwardTelemetry(*b);
+    Telemetry a2 = forwardTelemetry(*a);
+    expectSameTelemetry(a1, solo_a[0]);
+    expectSameTelemetry(b1, solo_b[0]);
+    expectSameTelemetry(a2, solo_a[1]);
+#if NEUROCUBE_TRACE_ENABLED
+    EXPECT_NE(a1.metrics.find("\"fractions\""), std::string::npos);
+#endif
+}
+
+TEST(EngineThreads, TwoMachinesOnTwoThreadsKeepTheirOwnTelemetry)
+{
+    MachinePair pair;
+    std::vector<Telemetry> solo_a = pair.solo(0, 1);
+    std::vector<Telemetry> solo_b = pair.solo(1, 1);
+
+    std::unique_ptr<Neurocube> a = pair.machine(0);
+    std::unique_ptr<Neurocube> b = pair.machine(1);
+    Telemetry got_a;
+    Telemetry got_b;
+    std::thread worker([&] { got_b = forwardTelemetry(*b); });
+    got_a = forwardTelemetry(*a);
+    worker.join();
+    expectSameTelemetry(got_a, solo_a[0]);
+    expectSameTelemetry(got_b, solo_b[0]);
 }
 
 } // namespace

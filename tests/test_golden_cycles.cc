@@ -154,7 +154,7 @@ TEST(GoldenCycles, Fig12LayerCyclesAreLocked)
 /**
  * Stall-attribution metrics are observational: a metrics-enabled run
  * must reproduce the golden per-layer cycle counts exactly. Catches
- * any NC_METRIC_CYCLE classification that accidentally perturbs
+ * any Probe::cycle classification that accidentally perturbs
  * component behaviour.
  */
 TEST(GoldenCycles, MetricsDoNotChangeCycleCounts)
@@ -181,7 +181,7 @@ TEST(GoldenCycles, MetricsDoNotChangeCycleCounts)
 /**
  * Activity energy accounting is observational too: an energy-enabled
  * run must reproduce the golden per-layer cycle counts exactly.
- * Catches any NC_ENERGY_EVENT site that accidentally perturbs
+ * Catches any Probe::addEnergy site that accidentally perturbs
  * component behaviour (e.g. by moving work across an early return).
  */
 TEST(GoldenCycles, EnergyDoesNotChangeCycleCounts)

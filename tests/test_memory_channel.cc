@@ -70,7 +70,7 @@ class ChannelTest : public ::testing::Test
   protected:
     ChannelTest()
         : params_(makeParams()), root_(nullptr, "test"),
-          channel_(params_, &root_, "ch")
+          channel_(params_, &root_, "ch", 0, Probe{})
     {
     }
 
@@ -296,7 +296,7 @@ TEST(ChannelRate, Ddr3SlowerThanReference)
     EXPECT_NEAR(ddr.wordsPerTick(), 0.32, 1e-9);
 
     StatGroup root(nullptr, "t");
-    MemoryChannel channel(ddr, &root, "ddr");
+    MemoryChannel channel(ddr, &root, "ddr", 0, Probe{});
     Tick now = 0;
     size_t seen = 0;
     Addr issued = 0;

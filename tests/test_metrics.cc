@@ -1,10 +1,10 @@
 /**
  * @file
  * Stall-attribution metrics tests: registry counting and snapshots,
- * the NC_METRIC_CYCLE publishing macro, the top-down bottleneck
- * classifier on hand-built deltas, per-lane node filtering, the phase
- * detector over synthetic CSVs, and two synthetic workloads on the
- * real machine with a known dominant stall (one DRAM-bound, one
+ * publishing through a Probe, the top-down bottleneck classifier on
+ * hand-built deltas, per-lane node filtering, the phase detector
+ * over synthetic CSVs, and two synthetic workloads on the real
+ * machine with a known dominant stall (one DRAM-bound, one
  * NoC-bound).
  */
 
@@ -89,26 +89,25 @@ TEST(MetricsRegistry, SnapshotDeltaIsolatesAnInterval)
 }
 
 #if NEUROCUBE_TRACE_ENABLED
-TEST(MetricsRegistry, MacroPublishesToActiveRegistry)
+TEST(MetricsRegistry, ProbePublishesToItsRegistry)
 {
-    // No active registry: the macro must be a safe no-op.
-    NC_METRIC_CYCLE(TraceComponent::Pe, 0, StallClass::Busy);
+    // An empty probe must be a safe no-op.
+    Probe{}.cycle(TraceComponent::Pe, 0, StallClass::Busy);
 
     MetricsRegistry registry;
     registry.configure(1, 1, 1, 1);
-    metrics::setActiveRegistry(&registry);
-    NC_METRIC_CYCLE(TraceComponent::Pe, 0, StallClass::Busy);
-    NC_METRIC_CYCLE(TraceComponent::Vault, 0,
-                    StallClass::StallDram);
-    metrics::setActiveRegistry(nullptr);
-    NC_METRIC_CYCLE(TraceComponent::Pe, 0, StallClass::Busy);
+    Probe probe;
+    probe.metrics = &registry;
+    probe.cycle(TraceComponent::Pe, 0, StallClass::Busy);
+    probe.cycles(TraceComponent::Vault, 0, StallClass::StallDram, 3);
+    Probe{}.cycle(TraceComponent::Pe, 0, StallClass::Busy);
 
     EXPECT_EQ(registry.state()
                   .of(TraceComponent::Pe)[0][StallClass::Busy],
               1u);
     EXPECT_EQ(registry.state()
                   .of(TraceComponent::Vault)[0][StallClass::StallDram],
-              1u);
+              3u);
 }
 #endif
 

@@ -54,7 +54,7 @@ class FabricTest : public ::testing::Test
     void
     build(const NocFabric::Config &c)
     {
-        fabric_ = std::make_unique<NocFabric>(c, &root_);
+        fabric_ = std::make_unique<NocFabric>(c, &root_, Probe{});
     }
 
     /** Tick until routers drain or limit; returns ticks used. */
@@ -204,7 +204,7 @@ TEST(Router, RotatingPriorityIsFair)
     rc.numNodes = 1;
     rc.portWidth = {1, 1, 1};
     StatGroup root(nullptr, "t");
-    Router router(rc, &root, "r");
+    Router router(rc, &root, "r", 0, Probe{});
     router.setRoute(routeIndex(0, false, 1), 2);
 
     Packet p = operandTo(0);
@@ -237,7 +237,7 @@ TEST(Router, RotatingArbiterBoundsWaitingTime)
     rc.numNodes = 1;
     rc.portWidth.assign(Inputs, 1);
     StatGroup root(nullptr, "t");
-    Router router(rc, &root, "r");
+    Router router(rc, &root, "r", 0, Probe{});
     router.setRoute(routeIndex(0, false, 1), Inputs - 1);
 
     std::vector<uint16_t> grants;
@@ -278,7 +278,7 @@ TEST(Router, PortWidthsPadToOnePacketPerCycle)
     rc.numNodes = 2;
     rc.portWidth = {2, 2};
     StatGroup root(nullptr, "t");
-    Router router(rc, &root, "r");
+    Router router(rc, &root, "r", 0, Probe{});
     router.setRoute(routeIndex(0, false, 2), 1);
     router.setRoute(routeIndex(1, false, 2), 3);
     EXPECT_EQ(router.portWidth(0), 2u);
@@ -408,7 +408,7 @@ TEST(Router, CreditViolationAsserts)
     rc.bufferDepth = 2;
     rc.numNodes = 1;
     StatGroup root(nullptr, "t");
-    Router router(rc, &root, "r");
+    Router router(rc, &root, "r", 0, Probe{});
     Packet p = operandTo(0);
     router.pushInput(0, p);
     router.pushInput(0, p);

@@ -65,7 +65,7 @@ TEST(TemporalBuffer, DuplicateOperandPanics)
 TEST(OpCache, SubBankSelectionByOpIdMod16)
 {
     StatGroup root(nullptr, "t");
-    OpCache cache({16, 64}, &root);
+    OpCache cache({16, 64}, &root, 0, Probe{});
     EXPECT_EQ(cache.subBankOf(0), 0u);
     EXPECT_EQ(cache.subBankOf(17), 1u);
     EXPECT_EQ(cache.subBankOf(255), 15u);
@@ -74,7 +74,7 @@ TEST(OpCache, SubBankSelectionByOpIdMod16)
 TEST(OpCache, InsertExtractRoundTrip)
 {
     StatGroup root(nullptr, "t");
-    OpCache cache({16, 64}, &root);
+    OpCache cache({16, 64}, &root, 0, Probe{});
     Packet p = operand(PacketKind::State, 3, 5, 2, 1.5);
     cache.insert(2, p);
     EXPECT_EQ(cache.totalEntries(), 1u);
@@ -93,7 +93,7 @@ TEST(OpCache, InsertExtractRoundTrip)
 TEST(OpCache, OverflowCountedBeyondSubBankCapacity)
 {
     StatGroup root(nullptr, "t");
-    OpCache cache({16, 4}, &root);
+    OpCache cache({16, 4}, &root, 0, Probe{});
     for (int i = 0; i < 4; ++i) {
         cache.insert(0,
                      operand(PacketKind::State, MacId(i), 16, 0, 1.0));
@@ -114,7 +114,7 @@ TEST(OpCache, OverflowCountedBeyondSubBankCapacity)
 TEST(OpCache, ExtractReportsScanCost)
 {
     StatGroup root(nullptr, "t");
-    OpCache cache({16, 64}, &root);
+    OpCache cache({16, 64}, &root, 0, Probe{});
     for (unsigned i = 0; i < 10; ++i) {
         cache.insert(0, operand(PacketKind::State, MacId(i % 16),
                                 16 * (i % 3), 0, 1.0));
@@ -131,9 +131,9 @@ class PeTest : public ::testing::Test
     {
         NocFabric::Config fc;
         fc.numNodes = 16;
-        fabric_ = std::make_unique<NocFabric>(fc, &root_);
+        fabric_ = std::make_unique<NocFabric>(fc, &root_, Probe{});
         PeParams params;
-        pe_ = std::make_unique<Pe>(0, params, &root_);
+        pe_ = std::make_unique<Pe>(0, params, &root_, Probe{});
     }
 
     void

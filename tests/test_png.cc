@@ -382,13 +382,13 @@ TEST(Png, OutOfOrderReturnsKeepTheirOwnRouting)
     prog.weights.base = 17 * dram.elementsPerRow();
 
     StatGroup root(nullptr, "t");
-    MemoryChannel channel(dram, &root, "vault0");
-    NocFabric fabric(NocFabric::Config{}, &root);
+    MemoryChannel channel(dram, &root, "vault0", 0, Probe{});
+    NocFabric fabric(NocFabric::Config{}, &root, Probe{});
     PngParams params;
     // One connection per emission phase keeps state and weight runs
     // short, so both rows sit inside the reorder window together.
     params.connBlockSize = 1;
-    Png png(0, params, channel, fabric, &root);
+    Png png(0, params, channel, fabric, &root, Probe{});
 
     // A distinct payload per address identifies the read behind a
     // packet.

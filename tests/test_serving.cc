@@ -108,7 +108,7 @@ TEST(Arrival, TraceParserSkipsCommentsAndBlanks)
 
 TEST(RequestQueue, AdmitsToDepthThenDrops)
 {
-    RequestQueue queue(2);
+    RequestQueue queue(2, Probe{});
     EXPECT_TRUE(queue.offer({0, 10}, 10));
     EXPECT_TRUE(queue.offer({1, 20}, 20));
     EXPECT_FALSE(queue.offer({2, 30}, 30));
@@ -129,7 +129,7 @@ TEST(RequestQueue, AdmitsToDepthThenDrops)
 
 TEST(RequestQueue, DepthHistogramTracksTransitions)
 {
-    RequestQueue queue(4);
+    RequestQueue queue(4, Probe{});
     queue.offer({0, 1}, 1);
     queue.offer({1, 2}, 2);
     queue.offer({2, 3}, 3);

@@ -172,20 +172,24 @@ TEST(SpatialConservationTest, CountersMatchAggregateStatistics)
     EXPECT_EQ(layers.totalPeMacOps(), snap.totalPeMacOps());
 }
 
-#else // !NEUROCUBE_TRACE_ENABLED
+#endif // NEUROCUBE_TRACE_ENABLED
 
-/** Notrace builds: the macro counts nothing and runs stay invalid. */
-TEST(SpatialConservationTest, NotraceRunsCarryNoCounts)
+/**
+ * A probe publishes only to the registry it holds, and an empty probe
+ * is a safe no-op. Notrace builds compile the publish out: even a
+ * populated probe counts nothing.
+ */
+TEST(SpatialConservationTest, ProbePublishesToItsRegistry)
 {
     SpatialRegistry reg;
     reg.configure(1, 1, 1);
-    spatial::setActiveRegistry(&reg);
-    NC_SPATIAL_EVENT(SpatialCounter::PeMac, 0, 5);
-    spatial::setActiveRegistry(nullptr);
-    EXPECT_EQ(reg.snapshot().totalPeMacOps(), 0u);
+    Probe{}.addSpatial(SpatialCounter::PeMac, 0, 7);
+    Probe probe;
+    probe.spatial = &reg;
+    probe.addSpatial(SpatialCounter::PeMac, 0, 5);
+    EXPECT_EQ(reg.snapshot().totalPeMacOps(),
+              NEUROCUBE_TRACE_ENABLED ? 5u : 0u);
 }
-
-#endif // NEUROCUBE_TRACE_ENABLED
 
 TEST(SpatialConservationTest, ObservationalOnly)
 {
@@ -208,7 +212,7 @@ TEST(SpatialConservationTest, ObservationalOnly)
     Neurocube cube(off);
     cube.loadNetwork(net, NetworkData::randomized(net, 3));
     cube.setInput(netInput(net, 4));
-    EXPECT_EQ(cube.spatialRegistry(), nullptr);
+    EXPECT_EQ(cube.probe().spatial, nullptr);
     EXPECT_EQ(cube.runForward().totalCycles(), cycles(true));
     EXPECT_FALSE(cube.spatialSnapshot().valid());
 }

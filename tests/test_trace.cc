@@ -1,7 +1,7 @@
 /**
  * @file
  * Trace subsystem tests: recorder ring behaviour (wraparound,
- * ordering, window/mask filtering), the NC_TRACE publishing macro,
+ * ordering, window/mask filtering), publishing through a Probe,
  * Chrome-JSON well-formedness (re-parsed with a standalone JSON
  * parser), and an end-to-end run of the machine with tracing enabled
  * producing loadable JSON and CSV files.
@@ -23,7 +23,7 @@
 #include "trace/chrome_exporter.hh"
 #include "trace/energy.hh"
 #include "trace/phase_detector.hh"
-#include "trace/stream_exporter.hh"
+#include "trace/probe.hh"
 #include "trace/timeseries_exporter.hh"
 #include "trace/trace.hh"
 
@@ -395,19 +395,19 @@ TEST(TraceRecorder, SamplePeriodOneRecordsEverything)
 }
 
 #if NEUROCUBE_TRACE_ENABLED
-TEST(TraceRecorder, MacroPublishesToActiveRecorder)
+TEST(TraceRecorder, ProbePublishesToItsRecorder)
 {
-    // No active recorder: the macro must be a safe no-op.
-    NC_TRACE(TraceComponent::Pe, 0, TraceEventType::MacBusy, 1, 2);
+    // An empty probe drops events without touching any recorder.
+    Probe{}.tick(Tick(7));
+    Probe{}.event(TraceComponent::Pe, 0, TraceEventType::MacBusy, 1, 2);
 
     TraceRecorder recorder(64);
     CollectingSink sink;
     recorder.addSink(&sink);
-    trace::setActiveRecorder(&recorder);
-    NC_TRACE_TICK(Tick(42));
-    NC_TRACE(TraceComponent::Pe, 7, TraceEventType::MacBusy, 3, 16);
-    trace::setActiveRecorder(nullptr);
-    NC_TRACE(TraceComponent::Pe, 0, TraceEventType::MacBusy, 1, 2);
+    Probe probe;
+    probe.recorder = &recorder;
+    probe.tick(Tick(42));
+    probe.event(TraceComponent::Pe, 7, TraceEventType::MacBusy, 3, 16);
     recorder.finish();
 
     ASSERT_EQ(sink.events.size(), 1u);
@@ -477,148 +477,6 @@ TEST(ChromeExporter, TrackPidsAreDisjointPerComponent)
               3000u);
     EXPECT_EQ(ChromeTraceExporter::trackPid(TraceComponent::Vault, 9),
               4009u);
-}
-
-TEST(TraceRecorder, ThreadedConsumerDrainsConcurrently)
-{
-    // Many more events than the ring holds: the producer must wait
-    // for the consumer thread instead of losing or reordering events
-    // (run under the tsan preset to check the handoff).
-    TraceRecorder recorder(64);
-    CollectingSink sink;
-    recorder.addSink(&sink);
-    recorder.startConsumerThread();
-
-    constexpr uint64_t total = 50000;
-    for (uint64_t i = 0; i < total; ++i) {
-        recorder.setNow(Tick(i));
-        recorder.record(TraceComponent::Pe, uint16_t(i % 16),
-                        TraceEventType::MacBusy, uint32_t(i), i);
-    }
-    recorder.finish();
-
-    ASSERT_EQ(sink.events.size(), total);
-    EXPECT_TRUE(sink.finished);
-    for (uint64_t i = 0; i < total; ++i) {
-        ASSERT_EQ(sink.events[i].value, i);
-        ASSERT_EQ(sink.events[i].tick, Tick(i));
-    }
-}
-
-TEST(TraceRecorder, ConsumerThreadStopIsIdempotent)
-{
-    TraceRecorder recorder(64);
-    CollectingSink sink;
-    recorder.addSink(&sink);
-    recorder.startConsumerThread();
-    recorder.startConsumerThread(); // second start is a no-op
-    recorder.record(TraceComponent::Pe, 0, TraceEventType::MacBusy);
-    recorder.stopConsumerThread();
-    recorder.stopConsumerThread(); // second stop is a no-op
-    recorder.finish();
-    EXPECT_EQ(sink.events.size(), 1u);
-}
-
-TEST(StreamExporter, RoundTripPreservesEvents)
-{
-    std::stringstream buffer(std::ios::in | std::ios::out
-                             | std::ios::binary);
-    TraceTopology topology;
-    topology.numRouters = 16;
-    topology.numPes = 16;
-    topology.numVaults = 16;
-    TraceStreamWriter writer(buffer, topology);
-
-    for (Tick t = 0; t < 100; ++t) {
-        feed(writer, t, TraceComponent::Router, uint16_t(t % 16),
-             TraceEventType::LinkFlit, uint32_t(t), t * 3);
-    }
-    writer.finish();
-
-    TraceStreamReader reader(buffer);
-    ASSERT_TRUE(reader.valid());
-    EXPECT_EQ(reader.header().version, 1u);
-    EXPECT_EQ(reader.header().eventBytes, sizeof(TraceEvent));
-    EXPECT_EQ(reader.header().numPes, 16u);
-
-    TraceEvent event;
-    size_t n = 0;
-    while (reader.next(event)) {
-        EXPECT_EQ(event.tick, Tick(n));
-        EXPECT_EQ(event.component, TraceComponent::Router);
-        EXPECT_EQ(event.value, n * 3);
-        ++n;
-    }
-    EXPECT_EQ(n, 100u);
-}
-
-TEST(StreamExporter, ReaderRejectsForeignStream)
-{
-    std::stringstream garbage("this is not a trace stream at all");
-    TraceStreamReader reader(garbage);
-    EXPECT_FALSE(reader.valid());
-    TraceEvent event;
-    EXPECT_FALSE(reader.next(event));
-}
-
-/** A complete binary stream with @p events records, as raw bytes. */
-std::string
-wellFormedStream(size_t events)
-{
-    std::stringstream buffer(std::ios::in | std::ios::out
-                             | std::ios::binary);
-    TraceTopology topology;
-    topology.numRouters = 16;
-    topology.numPes = 16;
-    topology.numVaults = 16;
-    TraceStreamWriter writer(buffer, topology);
-    for (Tick t = 0; t < Tick(events); ++t) {
-        feed(writer, t, TraceComponent::Pe, 0,
-             TraceEventType::MacBusy, 1, t);
-    }
-    writer.finish();
-    return buffer.str();
-}
-
-TEST(StreamExporter, ReaderToleratesTruncatedHeader)
-{
-    // A viewer can attach to a FIFO whose writer dies mid-header:
-    // every truncation point must yield invalid, never a crash or a
-    // garbage header accepted as valid.
-    std::string full = wellFormedStream(1);
-    for (size_t len = 0; len < sizeof(TraceStreamHeader); ++len) {
-        std::stringstream cut(full.substr(0, len),
-                              std::ios::in | std::ios::binary);
-        TraceStreamReader reader(cut);
-        EXPECT_FALSE(reader.valid()) << "header cut at " << len;
-        TraceEvent event;
-        EXPECT_FALSE(reader.next(event));
-    }
-}
-
-TEST(StreamExporter, ReaderStopsCleanlyAtTruncatedEvent)
-{
-    // Writer killed mid-record: the reader must deliver every
-    // complete event and stop at the partial tail without returning
-    // a half-filled record.
-    std::string full = wellFormedStream(3);
-    size_t two_and_a_half =
-        sizeof(TraceStreamHeader) + 2 * sizeof(TraceEvent)
-        + sizeof(TraceEvent) / 2;
-    std::stringstream cut(full.substr(0, two_and_a_half),
-                          std::ios::in | std::ios::binary);
-
-    TraceStreamReader reader(cut);
-    ASSERT_TRUE(reader.valid());
-    TraceEvent event;
-    size_t delivered = 0;
-    while (reader.next(event)) {
-        EXPECT_EQ(event.tick, Tick(delivered));
-        EXPECT_EQ(event.value, delivered);
-        ++delivered;
-    }
-    EXPECT_EQ(delivered, 2u);
-    EXPECT_FALSE(reader.next(event)); // stays at end, no crash
 }
 
 TEST(TimeSeriesExporter, OneRowPerActiveWindow)
@@ -971,61 +829,6 @@ TEST(TraceIntegration, SampledExportsAreDeterministic)
     ASSERT_TRUE(sampled_json.parse());
     ASSERT_TRUE(full_json.parse());
     EXPECT_LT(sampled_json.traceEvents(), full_json.traceEvents());
-}
-
-/** The live stream end to end: machine -> consumer thread -> file. */
-TEST(TraceIntegration, StreamPathProducesReadableBinaryStream)
-{
-    const std::string stream_path = "test_trace_stream.bin";
-
-    NetworkDesc net;
-    net.name = "stream-test";
-    LayerDesc conv;
-    conv.type = LayerType::Conv2D;
-    conv.name = "conv";
-    conv.inWidth = 20;
-    conv.inHeight = 16;
-    conv.inMaps = 2;
-    conv.outMaps = 4;
-    conv.kernel = 3;
-    conv.channelwise = true;
-    conv.activation = ActivationKind::Tanh;
-    net.layers.push_back(conv);
-    net.validate();
-
-    NetworkData data = NetworkData::randomized(net, 7);
-    Tensor input(conv.inMaps, conv.inHeight, conv.inWidth);
-    Rng rng(8);
-    input.randomize(rng);
-
-    {
-        NeurocubeConfig config;
-        config.trace.enabled = true;
-        config.trace.streamPath = stream_path;
-        Neurocube cube(config);
-        cube.loadNetwork(net, data);
-        cube.setInput(input);
-        cube.runForward();
-    }
-
-    std::ifstream in(stream_path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    TraceStreamReader reader(in);
-    ASSERT_TRUE(reader.valid());
-    EXPECT_EQ(reader.header().numPes, 16u);
-    EXPECT_EQ(reader.header().numVaults, 16u);
-
-    TraceEvent event;
-    size_t events = 0;
-    Tick last = 0;
-    while (reader.next(event)) {
-        EXPECT_GE(event.tick, last); // ring order is time order
-        last = event.tick;
-        ++events;
-    }
-    EXPECT_GT(events, 100u);
-
-    std::remove(stream_path.c_str());
 }
 #endif
 
