@@ -4,7 +4,9 @@
 #   asan     - address + undefined-behaviour sanitizers
 #   notrace  - every Probe publish call compiled out (the zero-overhead
 #              configuration); the component libraries must not
-#              reference TraceRecorder::push
+#              reference TraceRecorder::push, and those below the core
+#              must not reference the metrics, energy or spatial
+#              registries either
 #   tsan     - thread sanitizer over the ThreadedLanes engine workers
 #              and two traced machines on two threads (runs
 #              test_trace, test_metrics, test_engine_threads and the
@@ -32,11 +34,19 @@ for preset in "${presets[@]}"; do
     ctest --preset "$preset"
     if [ "$preset" = notrace ]; then
         # Compile-out guard: no publish site may survive as a call
-        # into the trace recorder.
+        # into the trace recorder, and no component below the core
+        # (which owns the never-built TraceSession) may call into a
+        # telemetry registry.
         for lib in core dram noc pe png serving; do
             undefined="$(nm -uC "build-notrace/src/$lib/libnc_$lib.a")"
             if grep -q 'TraceRecorder::push' <<<"$undefined"; then
                 echo "FAIL: libnc_$lib.a references TraceRecorder::push"
+                exit 1
+            fi
+            if [ "$lib" != core ] && grep -qE \
+                '(Spatial|Metrics|Energy)Registry::' <<<"$undefined"
+            then
+                echo "FAIL: libnc_$lib.a references a telemetry registry"
                 exit 1
             fi
         done

@@ -214,6 +214,13 @@ Neurocube::activeEngine() const
     return config_.engine;
 }
 
+std::vector<PhaseSegment>
+Neurocube::phases()
+{
+    return traceSession_ ? traceSession_->phases()
+                         : std::vector<PhaseSegment>{};
+}
+
 SpatialTopology
 Neurocube::spatialTopology()
 {

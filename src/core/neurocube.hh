@@ -30,6 +30,7 @@
 #include "noc/fabric.hh"
 #include "pe/pe.hh"
 #include "png/png.hh"
+#include "trace/phase_detector.hh"
 #include "trace/probe.hh"
 #include "trace/trace.hh"
 
@@ -146,6 +147,13 @@ class Neurocube
      * out). ServingSimulator publishes its request spans through it.
      */
     const Probe &probe() const { return probe_; }
+
+    /**
+     * Bottleneck phases of this machine's run so far, with their
+     * energy, from its trace session's timeseries CSV exporter; empty
+     * when no CSV export is configured (or tracing is compiled out).
+     */
+    std::vector<PhaseSegment> phases();
 
     /**
      * The machine shape the spatial counters describe (mesh width,

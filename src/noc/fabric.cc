@@ -43,17 +43,20 @@ NocFabric::publishSpatialTopology() const
 {
     // The Neurocube top level constructs its TraceSession before the
     // fabric, so the probe's spatial registry already knows the node/
-    // vault/PE extents; the fabric contributes the link list.
-    SpatialRegistry *registry = probe_.spatial;
-    if (registry == nullptr)
-        return;
-    std::vector<SpatialLink> links;
-    links.reserve(links_.size());
-    for (const Link &link : links_) {
-        links.push_back({uint16_t(link.srcRouter),
-                         uint16_t(link.dstRouter)});
+    // vault/PE extents; the fabric contributes the link list. Notrace
+    // builds have no session, so the body compiles out with them.
+    if constexpr (NEUROCUBE_TRACE_ENABLED) {
+        SpatialRegistry *registry = probe_.spatial;
+        if (registry == nullptr)
+            return;
+        std::vector<SpatialLink> links;
+        links.reserve(links_.size());
+        for (const Link &link : links_) {
+            links.push_back({uint16_t(link.srcRouter),
+                             uint16_t(link.dstRouter)});
+        }
+        registry->configureLinks(meshWidth_, std::move(links));
     }
-    registry->configureLinks(meshWidth_, std::move(links));
 }
 
 void

@@ -54,8 +54,8 @@ class ChromeTraceExporter : public TraceSink
      * Write detected run phases as a top-level "phases" annotation
      * track: one named slice per segment. Call after the run's
      * events are consumed and before finish() (the TraceSession
-     * destructor does this with the segments detectPhases() finds
-     * in the finished timeseries CSV).
+     * destructor does this with the segments the timeseries CSV
+     * exporter kept in memory).
      */
     void emitPhases(const std::vector<PhaseSegment> &segments);
 

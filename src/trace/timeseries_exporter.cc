@@ -1,11 +1,49 @@
 #include "trace/timeseries_exporter.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "common/logging.hh"
 
 namespace neurocube
 {
+
+namespace
+{
+
+/** Extend the last segment by @p next when they abut and agree. */
+void
+merge(std::vector<PhaseSegment> &segments, const PhaseSegment &next)
+{
+    if (!segments.empty() && segments.back().kind == next.kind
+        && segments.back().endTick == next.startTick) {
+        PhaseSegment &last = segments.back();
+        last.endTick = next.endTick;
+        last.windows += next.windows;
+        last.joules += next.joules;
+        return;
+    }
+    segments.push_back(next);
+}
+
+/**
+ * Append the window [start, start + window). The windows the CSV
+ * skipped since the last one saw no event at all; they are reinstated
+ * as quiescent so phases stay contiguous.
+ */
+void
+appendWindow(std::vector<PhaseSegment> &segments, Tick start,
+             Tick window, PhaseKind kind, double joules)
+{
+    if (!segments.empty() && segments.back().endTick < start) {
+        const Tick gap = segments.back().endTick;
+        merge(segments, {gap, start, PhaseKind::Quiescent,
+                         unsigned((start - gap) / window), 0.0});
+    }
+    merge(segments, {start, start + window, kind, 1, joules});
+}
+
+} // namespace
 
 TimeSeriesCsvExporter::TimeSeriesCsvExporter(
     std::ostream &os, const TraceTopology &topology, Tick windowTicks,
@@ -50,23 +88,61 @@ TimeSeriesCsvExporter::flushWindow()
         total_bits += bits;
 
     const double w = double(window_);
-    const double pe_ticks = w * double(topology_.numPes);
     const double mean_latency =
         ejected_ ? double(ejectLatencySum_) / double(ejected_) : 0.0;
 
     os_ << windowStart_ << ',' << double(linkFlits_) / w << ','
         << double(ejected_) / w << ',' << mean_latency << ','
-        << (pe_ticks > 0.0 ? 100.0 * double(macBusyTicks_) / pe_ticks
-                           : 0.0)
-        << ',' << pngStallTicks_ << ',' << nocBlockedTicks_ << ','
-        << dramStallTicks_ << ',' << double(total_bits) / 8.0 / w
-        << ',' << windowPj_ * 1e-12 * referenceClockHz / w << ','
+        << peUtilPct() << ',' << pngStallTicks_ << ','
+        << nocBlockedTicks_ << ',' << dramStallTicks_ << ','
+        << double(total_bits) / 8.0 / w << ','
+        << windowPj_ * 1e-12 * referenceClockHz / w << ','
         << serveQueueDepth_ << ',' << skippedTicks_;
     for (uint64_t bits : vaultBits_)
         os_ << ',' << bits / 8;
     os_ << "\n";
 
+    appendWindow(phases_, windowStart_, window_, windowKind(),
+                 windowPj_ * 1e-12);
     resetAccumulators();
+}
+
+double
+TimeSeriesCsvExporter::peUtilPct() const
+{
+    const double pe_ticks = double(window_) * double(topology_.numPes);
+    return pe_ticks > 0.0 ? 100.0 * double(macBusyTicks_) / pe_ticks
+                          : 0.0;
+}
+
+PhaseKind
+TimeSeriesCsvExporter::windowKind() const
+{
+    const double w = double(window_);
+    auto perInstance = [w](uint64_t ticks, unsigned instances) {
+        return instances ? double(ticks) / (w * double(instances))
+                         : 0.0;
+    };
+    const bool active =
+        linkFlits_ > 0
+        || std::any_of(vaultBits_.begin(), vaultBits_.end(),
+                       [](uint64_t bits) { return bits > 0; });
+    // A PNG sits on every vault, so PNG stalls scale by numVaults.
+    return classifyWindow(
+        peUtilPct(), perInstance(nocBlockedTicks_, topology_.numRouters),
+        perInstance(pngStallTicks_, topology_.numVaults),
+        perInstance(dramStallTicks_, topology_.numVaults), active);
+}
+
+std::vector<PhaseSegment>
+TimeSeriesCsvExporter::phases() const
+{
+    std::vector<PhaseSegment> segments = phases_;
+    if (sawEvent_) {
+        appendWindow(segments, windowStart_, window_, windowKind(),
+                     windowPj_ * 1e-12);
+    }
+    return segments;
 }
 
 void

@@ -8,8 +8,12 @@
  * ejected per cycle and their mean latency, MAC-array utilization,
  * PNG inject-stall ticks, router head-of-line blocked ticks, DRAM
  * bytes per cycle, and per-vault byte counts. Ready for plotting with
- * any spreadsheet/pandas/gnuplot, and consumed by the phase detector
- * (trace/phase_detector.hh) to segment a run into bottleneck phases.
+ * any spreadsheet/pandas/gnuplot.
+ *
+ * Each window it writes is also classified (classifyWindow in
+ * trace/phase_detector.hh) and merged into the run's bottleneck-phase
+ * segments, which phases() hands out from memory; nothing re-reads
+ * the CSV.
  */
 
 #ifndef NEUROCUBE_TRACE_TIMESERIES_EXPORTER_HH
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "trace/energy.hh"
+#include "trace/phase_detector.hh"
 #include "trace/trace.hh"
 
 namespace neurocube
@@ -43,10 +48,24 @@ class TimeSeriesCsvExporter : public TraceSink
     void consume(const TraceEvent *events, size_t count) override;
     void finish() override;
 
+    /**
+     * Bottleneck phases of the events consumed so far, in time order:
+     * every written row classified and merged (windows the CSV skips
+     * read as quiescent), plus the still-open window. Each segment
+     * carries the exact event-stream energy of its windows. Flushes
+     * nothing.
+     */
+    std::vector<PhaseSegment> phases() const;
+
   private:
     void handle(const TraceEvent &event);
-    /** Write the current window's row (if it saw any event). */
+    /** Write the current window's row (if it saw any event) and
+     *  merge it into phases_. */
     void flushWindow();
+    /** PE MAC utilization of the current window, percent. */
+    double peUtilPct() const;
+    /** Phase kind of the current window. */
+    PhaseKind windowKind() const;
     void advanceWindow(Tick tick);
     void resetAccumulators();
 
@@ -72,6 +91,9 @@ class TimeSeriesCsvExporter : public TraceSink
     uint64_t serveQueueDepth_ = 0;
     /** Component-ticks the wake-list engine bulk-skipped. */
     uint64_t skippedTicks_ = 0;
+
+    /** Segments of the windows flushed so far (O(segments)). */
+    std::vector<PhaseSegment> phases_;
 };
 
 } // namespace neurocube

@@ -7,7 +7,6 @@
 #include "trace/chrome_exporter.hh"
 #include "trace/energy.hh"
 #include "trace/metrics.hh"
-#include "trace/phase_detector.hh"
 #include "trace/probe.hh"
 #include "trace/spatial.hh"
 #include "trace/timeseries_exporter.hh"
@@ -198,11 +197,6 @@ TraceSession::TraceSession(const TraceConfig &config,
     recorder_.setWindow(config.startTick, config.endTick);
     recorder_.setComponentMask(config.componentMask);
     recorder_.setSampling(config.windowTicks, config.samplePeriod);
-    // Kept for the destructor's phase feedback (the exporters clamp
-    // a zero window to 1; match them so detectPhases sees the same
-    // window size the CSV was written with).
-    windowTicks_ = config.windowTicks > 0 ? config.windowTicks : 1;
-    topology_ = topology;
 
     auto open = [&](const std::string &path) -> std::ostream & {
         auto stream = std::make_unique<std::ofstream>(path);
@@ -224,7 +218,6 @@ TraceSession::TraceSession(const TraceConfig &config,
             open(config.timeseriesCsvPath), topology,
             config.windowTicks, config.energyPrices);
         csv_ = csv.get();
-        csvPath_ = config.timeseriesCsvPath;
         sinks_.push_back(std::move(csv));
     }
     for (auto &sink : sinks_)
@@ -276,27 +269,20 @@ TraceSession::probe()
     return probe;
 }
 
+std::vector<PhaseSegment>
+TraceSession::phases()
+{
+    if (csv_ == nullptr)
+        return {};
+    recorder_.drain();
+    return csv_->phases();
+}
+
 TraceSession::~TraceSession()
 {
-    // Phase feedback: when both exporters ran, finish the CSV first,
-    // segment it, and write the segments into the Chrome trace as the
-    // top-level "phases" track before the JSON footer goes out.
-    // (recorder_.finish() below calls every sink's finish(); the CSV
-    // exporter's is idempotent, so finishing it early is safe.)
-    if (chrome_ != nullptr && csv_ != nullptr) {
-        recorder_.drain();
-        csv_->finish();
-        std::ifstream csv(csvPath_);
-        if (csv.is_open()) {
-            PhaseDetectorConfig detector;
-            detector.windowTicks = windowTicks_;
-            detector.numPes = topology_.numPes;
-            detector.numPngs = topology_.numVaults;
-            detector.numRouters = topology_.numRouters;
-            detector.numVaults = topology_.numVaults;
-            chrome_->emitPhases(detectPhases(csv, detector));
-        }
-    }
+    // The phases track goes out before the JSON footer.
+    if (chrome_ != nullptr && csv_ != nullptr)
+        chrome_->emitPhases(phases());
     recorder_.finish();
 }
 

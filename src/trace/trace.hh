@@ -39,6 +39,7 @@ class EnergyRegistry;
 class MetricsRegistry;
 class SpatialRegistry;
 class TimeSeriesCsvExporter;
+struct PhaseSegment;
 struct Probe;
 
 /** Consumer of recorded event batches (exporters derive from this). */
@@ -228,10 +229,11 @@ struct TraceTopology
  * counters-only session (no output paths) leaves event sites at a
  * null-check.
  *
- * At destruction, when both the Chrome JSON and the timeseries CSV
- * exports are configured, the finished CSV is re-read through
- * detectPhases() and the resulting segments are written into the
- * Chrome trace as a top-level "phases" annotation track.
+ * When the timeseries CSV export is configured, its exporter keeps
+ * the run's bottleneck-phase segments in memory (phases()); at
+ * destruction, when the Chrome JSON export is configured as well, the
+ * segments are written into the Chrome trace as a top-level "phases"
+ * annotation track.
  */
 class TraceSession
 {
@@ -255,6 +257,14 @@ class TraceSession
      */
     Probe probe();
 
+    /**
+     * Bottleneck phases of the run so far, from the timeseries CSV
+     * exporter's windows (the still-open one included); empty when no
+     * CSV export is configured. Delivers pending events to the sinks
+     * but flushes no output.
+     */
+    std::vector<PhaseSegment> phases();
+
   private:
     TraceRecorder recorder_;
     std::unique_ptr<MetricsRegistry> metrics_;
@@ -266,13 +276,9 @@ class TraceSession
     /** File streams backing the exporters (destroyed after sinks). */
     std::vector<std::unique_ptr<std::ofstream>> streams_;
 
-    /** Non-owning views of the exporters, for the phase feedback. */
+    /** Non-owning views of the exporters, for the phase track. */
     ChromeTraceExporter *chrome_ = nullptr;
     TimeSeriesCsvExporter *csv_ = nullptr;
-    /** Inputs the phase feedback needs after the run. */
-    std::string csvPath_;
-    Tick windowTicks_ = 1024;
-    TraceTopology topology_;
 };
 
 } // namespace neurocube

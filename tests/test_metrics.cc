@@ -2,16 +2,17 @@
  * @file
  * Stall-attribution metrics tests: registry counting and snapshots,
  * publishing through a Probe, the top-down bottleneck classifier on
- * hand-built deltas, per-lane node filtering, the phase detector
- * over synthetic CSVs, and two synthetic workloads on the real
- * machine with a known dominant stall (one DRAM-bound, one
- * NoC-bound).
+ * hand-built deltas, per-lane node filtering, phase detection and
+ * its energy rollup over synthetic exporter windows, and two
+ * synthetic workloads on the real machine with a known dominant
+ * stall (one DRAM-bound, one NoC-bound).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "core/neurocube.hh"
 #include "trace/metrics.hh"
 #include "trace/phase_detector.hh"
+#include "trace/timeseries_exporter.hh"
 
 namespace neurocube
 {
@@ -226,39 +228,68 @@ TEST(BottleneckReport, NodeFilterAttributesPerLane)
 }
 
 // ---------------------------------------------------------------
-// Phase detector on synthetic CSVs.
+// Phase detection on synthetic windows, driven through the
+// time-series exporter that keeps the segments.
 // ---------------------------------------------------------------
 
-/** Config matching the hand-written CSVs below (window 100). */
-PhaseDetectorConfig
-smallConfig()
+/** A 2-PE, 2-router, 2-vault machine (window 100 below). */
+TraceTopology
+smallTopology()
 {
-    PhaseDetectorConfig config;
-    config.windowTicks = 100;
-    config.numPes = 2;
-    config.numPngs = 2;
-    config.numRouters = 2;
-    config.numVaults = 2;
-    return config;
+    TraceTopology topology;
+    topology.numRouters = 2;
+    topology.numPes = 2;
+    topology.numVaults = 2;
+    return topology;
 }
 
-constexpr char kCsvHeader[] =
-    "window_start,noc_flits_per_cycle,ejected_per_cycle,"
-    "mean_eject_latency,pe_util_pct,png_stall_ticks,"
-    "noc_blocked_ticks,dram_stall_ticks,dram_bytes_per_cycle\n";
+/** Feed @p count copies of one event at @p tick into @p sink. */
+void
+feed(TraceSink &sink, Tick tick, TraceComponent component,
+     TraceEventType type, uint64_t value = 0, unsigned count = 1,
+     uint32_t arg = 0)
+{
+    TraceEvent event;
+    event.tick = tick;
+    event.component = component;
+    event.type = type;
+    event.arg = arg;
+    event.value = value;
+    for (unsigned i = 0; i < count; ++i)
+        sink.consume(&event, 1);
+}
+
+/**
+ * One window's signals at @p tick: PE busy ticks (of 200 PE-ticks)
+ * and the PNG, router and vault stall ticks (of 200 each).
+ */
+void
+feedWindow(TraceSink &sink, Tick tick, uint64_t macTicks,
+           unsigned pngStalls, unsigned nocBlocked, unsigned dramStalls)
+{
+    feed(sink, tick, TraceComponent::Pe, TraceEventType::MacBusy,
+         macTicks);
+    feed(sink, tick, TraceComponent::Png,
+         TraceEventType::PngInjectStall, 0, pngStalls);
+    feed(sink, tick, TraceComponent::Router,
+         TraceEventType::FlitBlocked, 0, nocBlocked);
+    feed(sink, tick, TraceComponent::Vault, TraceEventType::DramStall,
+         0, dramStalls);
+}
 
 TEST(PhaseDetector, ClassifiesAndMergesWindows)
 {
-    std::istringstream csv(
-        std::string(kCsvHeader)
-        // Two compute windows (merge), one dram-bound, one
-        // inject-bound, one noc-bound.
-        + "0,1,0,0,80,0,0,0,2\n"
-          "100,1,0,0,75,0,0,0,2\n"
-          "200,0.1,0,0,5,0,0,120,1\n"
-          "300,0.1,0,0,5,90,0,0,0\n"
-          "400,0.1,0,0,5,0,150,0,0\n");
-    auto segments = detectPhases(csv, smallConfig());
+    std::ostringstream os;
+    TimeSeriesCsvExporter exporter(os, smallTopology(), 100);
+    // Two compute windows (merge), one dram-bound, one inject-bound,
+    // one noc-bound; the last window is still open.
+    feedWindow(exporter, 0, 160, 0, 0, 0);
+    feedWindow(exporter, 100, 150, 0, 0, 0);
+    feedWindow(exporter, 200, 10, 0, 0, 120);
+    feedWindow(exporter, 300, 10, 90, 0, 0);
+    feedWindow(exporter, 400, 10, 0, 150, 0);
+
+    auto segments = exporter.phases();
     ASSERT_EQ(segments.size(), 4u);
     EXPECT_EQ(segments[0].kind, PhaseKind::Compute);
     EXPECT_EQ(segments[0].startTick, Tick(0));
@@ -268,48 +299,111 @@ TEST(PhaseDetector, ClassifiesAndMergesWindows)
     EXPECT_EQ(segments[2].kind, PhaseKind::InjectBound);
     EXPECT_EQ(segments[3].kind, PhaseKind::NocBound);
     EXPECT_EQ(segments[3].endTick, Tick(500));
+
+    // Reading the open window flushed nothing (header + 4 rows);
+    // finishing writes its row and changes no segment.
+    auto lines = [&os] {
+        const std::string csv = os.str();
+        return std::count(csv.begin(), csv.end(), '\n');
+    };
+    EXPECT_EQ(lines(), 5);
+    exporter.finish();
+    EXPECT_EQ(lines(), 6);
+    auto finished = exporter.phases();
+    ASSERT_EQ(finished.size(), segments.size());
+    for (size_t i = 0; i < finished.size(); ++i) {
+        EXPECT_EQ(finished[i].kind, segments[i].kind);
+        EXPECT_EQ(finished[i].startTick, segments[i].startTick);
+        EXPECT_EQ(finished[i].endTick, segments[i].endTick);
+        EXPECT_EQ(finished[i].windows, segments[i].windows);
+    }
 }
 
 TEST(PhaseDetector, ReinstatesSkippedWindowsAsQuiescent)
 {
-    // The exporter skips empty windows; [100, 300) is missing here,
+    // The exporter writes no row for [100, 300), which saw no event,
     // as during a parked batch lane or between layers.
-    std::istringstream csv(std::string(kCsvHeader)
-                           + "0,1,0,0,80,0,0,0,2\n"
-                             "300,0.1,0,0,5,0,0,130,1\n");
-    auto segments = detectPhases(csv, smallConfig());
+    std::ostringstream os;
+    TimeSeriesCsvExporter exporter(os, smallTopology(), 100);
+    feedWindow(exporter, 0, 160, 0, 0, 0);
+    feedWindow(exporter, 300, 10, 0, 0, 130);
+    exporter.finish();
+
+    auto segments = exporter.phases();
     ASSERT_EQ(segments.size(), 3u);
     EXPECT_EQ(segments[0].kind, PhaseKind::Compute);
     EXPECT_EQ(segments[1].kind, PhaseKind::Quiescent);
     EXPECT_EQ(segments[1].startTick, Tick(100));
     EXPECT_EQ(segments[1].endTick, Tick(300));
     EXPECT_EQ(segments[1].windows, 2u);
+    EXPECT_EQ(segments[1].joules, 0.0);
     EXPECT_EQ(segments[2].kind, PhaseKind::DramBound);
 }
 
-TEST(PhaseDetector, ToleratesColumnReordering)
+TEST(PhaseDetector, EnergyRollupSumsWindowEnergy)
 {
-    std::istringstream csv(
-        "dram_stall_ticks,window_start,pe_util_pct,png_stall_ticks\n"
-        "160,0,5,0\n");
-    auto segments = detectPhases(csv, smallConfig());
-    ASSERT_EQ(segments.size(), 1u);
-    EXPECT_EQ(segments[0].kind, PhaseKind::DramBound);
-}
+    // Energy-bearing events in four windows: two compute windows that
+    // merge, a gap, then a DRAM-bound window.
+    EnergyPrices prices;
+    std::ostringstream os;
+    TimeSeriesCsvExporter exporter(os, smallTopology(), 100, prices);
+    feed(exporter, 10, TraceComponent::Pe, TraceEventType::MacBusy,
+         160, 1, 16);
+    feed(exporter, 150, TraceComponent::Pe, TraceEventType::MacBusy,
+         120, 1, 12);
+    feed(exporter, 160, TraceComponent::Vault,
+         TraceEventType::DramWord, 128, 3);
+    feedWindow(exporter, 400, 0, 0, 0, 150);
+    feed(exporter, 420, TraceComponent::Vault,
+         TraceEventType::DramWord, 256, 2);
+    exporter.finish();
 
-TEST(PhaseDetector, RejectsForeignCsv)
-{
-    std::istringstream csv("a,b,c\n1,2,3\n");
-    EXPECT_TRUE(detectPhases(csv, smallConfig()).empty());
-    std::istringstream empty("");
-    EXPECT_TRUE(detectPhases(empty, smallConfig()).empty());
+    const double bit_pj =
+        prices.dramPjPerBit + prices.vaultLogicPjPerBit;
+    const double total_j =
+        1e-12
+        * (28.0 * prices.macOpPj
+           + 3.0 * (128.0 * bit_pj + prices.vaultXactPj)
+           + 2.0 * (256.0 * bit_pj + prices.vaultXactPj));
+
+    auto segments = exporter.phases();
+    ASSERT_EQ(segments.size(), 3u);
+    EXPECT_EQ(segments[0].kind, PhaseKind::Compute);
+    EXPECT_EQ(segments[1].kind, PhaseKind::Quiescent);
+    EXPECT_EQ(segments[2].kind, PhaseKind::DramBound);
+    double sum_j = 0.0;
+    for (const PhaseSegment &s : segments)
+        sum_j += s.joules;
+    EXPECT_GT(segments[0].joules, 0.0);
+    EXPECT_EQ(segments[1].joules, 0.0);
+    EXPECT_NEAR(sum_j, total_j, 1e-12 * total_j);
+
+    // The JSON rollup carries each segment's joules and its mean power
+    // over the segment's own duration.
+    const std::string json = phaseEnergyJson(segments, 100);
+    const std::regex entry(
+        "\"ticks\": ([0-9]+), \"windows\": [0-9]+, "
+        "\"joules\": ([0-9.eE+-]+), \"avg_power_w\": ([0-9.eE+-]+)");
+    size_t entries = 0;
+    for (auto it = std::sregex_iterator(json.begin(), json.end(), entry);
+         it != std::sregex_iterator(); ++it, ++entries) {
+        ASSERT_LT(entries, segments.size());
+        const double ticks = std::stod((*it)[1]);
+        const double joules = std::stod((*it)[2]);
+        const double watts = std::stod((*it)[3]);
+        EXPECT_NEAR(joules, segments[entries].joules,
+                    1e-11 * total_j);
+        EXPECT_NEAR(watts, joules / (ticks / referenceClockHz),
+                    1e-11 * std::abs(watts));
+    }
+    EXPECT_EQ(entries, segments.size());
 }
 
 TEST(PhaseDetector, ReportListsOneLinePerSegment)
 {
     std::vector<PhaseSegment> segments = {
-        {0, 200, PhaseKind::Compute, 2},
-        {200, 300, PhaseKind::DramBound, 1},
+        {0, 200, PhaseKind::Compute, 2, 0.0},
+        {200, 300, PhaseKind::DramBound, 1, 0.0},
     };
     std::string report = phaseReport(segments);
     EXPECT_NE(report.find("compute"), std::string::npos);

@@ -665,16 +665,16 @@ TEST(ChromeExporter, EmitsPhaseAnnotationTrack)
          TraceEventType::FlitSwitch, 0, 0);
 
     std::vector<PhaseSegment> segments;
-    segments.push_back({0, 64, PhaseKind::Compute, 4});
-    segments.push_back({64, 128, PhaseKind::DramBound, 4});
-    segments.push_back({128, 128, PhaseKind::Quiescent, 0}); // empty
+    segments.push_back({0, 64, PhaseKind::Compute, 4, 0.0});
+    segments.push_back({64, 128, PhaseKind::DramBound, 4, 0.0});
+    segments.push_back({128, 128, PhaseKind::Quiescent, 0, 0.0}); // empty
     exporter.emitPhases(segments);
     exporter.finish();
 
     std::string json = os.str();
     JsonChecker checker(json);
     EXPECT_TRUE(checker.parse()) << json.substr(0, 400);
-    EXPECT_NE(json.find("\"phases\""), std::string::npos);
+    EXPECT_NE(json.find("\"pid\":5000,\"tid\":0"), std::string::npos);
     EXPECT_NE(json.find("\"compute\""), std::string::npos);
     EXPECT_NE(json.find("\"dram-bound\""), std::string::npos);
     EXPECT_NE(json.find("\"windows\":4"), std::string::npos);
@@ -682,12 +682,13 @@ TEST(ChromeExporter, EmitsPhaseAnnotationTrack)
     EXPECT_EQ(json.find("\"quiescent\""), std::string::npos);
 }
 
-/** One tiny conv layer on the real machine with tracing on. */
-TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
+/**
+ * Run one tiny conv layer on the real machine under @p trace (enabled
+ * here, window 64); the session flushes when the machine is gone.
+ */
+void
+runTracedTinyConv(TraceConfig trace)
 {
-    const std::string json_path = "test_trace_out.json";
-    const std::string csv_path = "test_trace_out.csv";
-
     NetworkDesc net;
     net.name = "trace-test";
     LayerDesc conv;
@@ -708,32 +709,57 @@ TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
     Rng rng(8);
     input.randomize(rng);
 
-    {
-        NeurocubeConfig config;
-        config.trace.enabled = true;
-        config.trace.chromeJsonPath = json_path;
-        config.trace.timeseriesCsvPath = csv_path;
-        config.trace.windowTicks = 64;
-        Neurocube cube(config);
-        cube.loadNetwork(net, data);
-        cube.setInput(input);
-        cube.runForward();
-        // The session flushes when the cube is destroyed.
-    }
+    NeurocubeConfig config;
+    config.trace = std::move(trace);
+    config.trace.enabled = true;
+    config.trace.windowTicks = 64;
+    Neurocube cube(config);
+    cube.loadNetwork(net, data);
+    cube.setInput(input);
+    cube.runForward();
+}
 
 #if NEUROCUBE_TRACE_ENABLED
-    std::ifstream json_in(json_path);
-    ASSERT_TRUE(json_in.good());
-    std::stringstream json_text;
-    json_text << json_in.rdbuf();
-    JsonChecker checker(json_text.str());
+/** Whole contents of @p path. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/**
+ * Marker of a slice on the Chrome "phases" track (the track's name
+ * record, which every trace carries, has no tid).
+ */
+const std::string phaseSliceMarker =
+    "\"pid\":" + std::to_string(ChromeTraceExporter::phasesPid)
+    + ",\"tid\":0";
+#endif
+
+TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
+{
+    const std::string json_path = "test_trace_out.json";
+    const std::string csv_path = "test_trace_out.csv";
+
+    TraceConfig trace;
+    trace.chromeJsonPath = json_path;
+    trace.timeseriesCsvPath = csv_path;
+    runTracedTinyConv(trace);
+
+#if NEUROCUBE_TRACE_ENABLED
+    const std::string json = slurp(json_path);
+    ASSERT_FALSE(json.empty());
+    JsonChecker checker(json);
     EXPECT_TRUE(checker.parse());
     EXPECT_GT(checker.traceEvents(), 100u);
     // The machine's activity produced a power-over-time counter
-    // track, and the session fed the detected phases back in as an
-    // annotation track on teardown.
-    EXPECT_NE(json_text.str().find("power.W"), std::string::npos);
-    EXPECT_NE(json_text.str().find("\"phases\""), std::string::npos);
+    // track, and the session wrote the detected phases as slices on
+    // the phases track on teardown.
+    EXPECT_NE(json.find("power.W"), std::string::npos);
+    EXPECT_NE(json.find(phaseSliceMarker), std::string::npos);
 
     std::ifstream csv_in(csv_path);
     ASSERT_TRUE(csv_in.good());
@@ -759,6 +785,38 @@ TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
 }
 
 #if NEUROCUBE_TRACE_ENABLED
+TEST(TraceIntegration, PhaseTrackNeedsNoReadableCsv)
+{
+    // The phases come from the CSV exporter's own windows, so a CSV
+    // sent where it cannot be read back still yields phase slices.
+    const std::string json_path = "test_trace_devnull.json";
+    TraceConfig trace;
+    trace.chromeJsonPath = json_path;
+    trace.timeseriesCsvPath = "/dev/null";
+    runTracedTinyConv(trace);
+
+    const std::string json = slurp(json_path);
+    std::remove(json_path.c_str());
+    JsonChecker checker(json);
+    EXPECT_TRUE(checker.parse());
+    EXPECT_NE(json.find(phaseSliceMarker), std::string::npos);
+}
+
+TEST(TraceIntegration, NoPhaseTrackWithoutCsv)
+{
+    // Chrome JSON alone carries no phase slices: the phases track is
+    // filled exactly when a CSV export is configured too.
+    const std::string json_path = "test_trace_nocsv.json";
+    TraceConfig trace;
+    trace.chromeJsonPath = json_path;
+    runTracedTinyConv(trace);
+
+    const std::string json = slurp(json_path);
+    std::remove(json_path.c_str());
+    ASSERT_FALSE(json.empty());
+    EXPECT_EQ(json.find(phaseSliceMarker), std::string::npos);
+}
+
 /** One traced run of a tiny conv machine; returns {json, csv}. */
 std::pair<std::string, std::string>
 sampledRunExports(uint64_t sample_period, const char *tag)
@@ -767,46 +825,17 @@ sampledRunExports(uint64_t sample_period, const char *tag)
         std::string(tag) + ".sampled.json";
     const std::string csv_path = std::string(tag) + ".sampled.csv";
 
-    NetworkDesc net;
-    net.name = "sample-test";
-    LayerDesc conv;
-    conv.type = LayerType::Conv2D;
-    conv.name = "conv";
-    conv.inWidth = 20;
-    conv.inHeight = 16;
-    conv.inMaps = 2;
-    conv.outMaps = 4;
-    conv.kernel = 3;
-    conv.channelwise = true;
-    conv.activation = ActivationKind::Tanh;
-    net.layers.push_back(conv);
-    net.validate();
-    NetworkData data = NetworkData::randomized(net, 7);
-    Tensor input(conv.inMaps, conv.inHeight, conv.inWidth);
-    Rng rng(8);
-    input.randomize(rng);
+    TraceConfig trace;
+    trace.chromeJsonPath = json_path;
+    trace.timeseriesCsvPath = csv_path;
+    trace.samplePeriod = sample_period;
+    runTracedTinyConv(trace);
 
-    {
-        NeurocubeConfig config;
-        config.trace.enabled = true;
-        config.trace.chromeJsonPath = json_path;
-        config.trace.timeseriesCsvPath = csv_path;
-        config.trace.windowTicks = 64;
-        config.trace.samplePeriod = sample_period;
-        Neurocube cube(config);
-        cube.loadNetwork(net, data);
-        cube.setInput(input);
-        cube.runForward();
-    }
-
-    auto slurp = [](const std::string &path) {
-        std::ifstream in(path);
-        std::stringstream text;
-        text << in.rdbuf();
-        std::remove(path.c_str());
-        return text.str();
-    };
-    return {slurp(json_path), slurp(csv_path)};
+    std::pair<std::string, std::string> exports = {slurp(json_path),
+                                                   slurp(csv_path)};
+    std::remove(json_path.c_str());
+    std::remove(csv_path.c_str());
+    return exports;
 }
 
 TEST(TraceIntegration, SampledExportsAreDeterministic)
