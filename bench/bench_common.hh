@@ -200,7 +200,8 @@ runForward(const NeurocubeConfig &config, const NetworkDesc &net,
     if (phases_json != nullptr) {
         std::vector<PhaseSegment> phases = cube.phases();
         if (!phases.empty())
-            *phases_json = phaseEnergyJson(phases, cfg.trace.windowTicks);
+            *phases_json = phaseEnergyJson(phases, cfg.trace.windowTicks,
+                                           cfg.trace.samplePeriod);
     }
     return run;
 }

@@ -224,25 +224,17 @@ Neurocube::phases()
 SpatialTopology
 Neurocube::spatialTopology()
 {
-    SpatialRegistry *registry = probe_.spatial;
-    return registry ? registry->topology() : SpatialTopology{};
+    const CounterRegistry *counters = probe_.counters;
+    return counters && counters->spatialOn() ? counters->topology()
+                                             : SpatialTopology{};
 }
 
 SpatialSnapshot
 Neurocube::spatialSnapshot()
 {
-    SpatialSnapshot snap;
-    SpatialRegistry *registry = probe_.spatial;
-    if (registry == nullptr)
-        return snap;
-    snap = registry->snapshot();
-    snap.nodeLateral.resize(config_.numPes, 0);
-    snap.nodeLocal.resize(config_.numPes, 0);
-    for (unsigned node = 0; node < config_.numPes; ++node) {
-        snap.nodeLateral[node] = fabric_->nodeLateralPackets(node);
-        snap.nodeLocal[node] = fabric_->nodeLocalPackets(node);
-    }
-    return snap;
+    const CounterRegistry *counters = probe_.counters;
+    return counters ? counters->spatialSnapshot(counters->snapshot())
+                    : SpatialSnapshot{};
 }
 
 PassScheduler::Slice
@@ -524,22 +516,10 @@ Neurocube::runLayerOnGroups(const LayerDesc &layer,
     for (size_t g = 0; g < n; ++g)
         before[g] = sliceCounters(groups[g].slice);
 
-    MetricsRegistry *metrics = probe_.metrics;
-    MetricsSnapshot metrics_before;
-    if (metrics)
-        metrics_before = metrics->snapshot();
-
-    SpatialRegistry *spatial = probe_.spatial;
-    SpatialSnapshot spatial_before;
-    if (spatial)
-        spatial_before = spatialSnapshot();
-
-#if NEUROCUBE_TRACE_ENABLED
-    EnergyRegistry *energy = probe_.energy;
-    EnergySnapshot energy_before;
-    if (energy)
-        energy_before = energy->snapshot();
-#endif
+    const CounterRegistry *counters = probe_.counters;
+    CounterSnapshot counters_before;
+    if (counters)
+        counters_before = counters->snapshot();
 
     std::vector<LayerResult> results(n);
     const Tick layer_start = now_;
@@ -556,19 +536,9 @@ Neurocube::runLayerOnGroups(const LayerDesc &layer,
                                + (done[g] - start);
     }
 
-    MetricsSnapshot metrics_delta;
-    if (metrics)
-        metrics_delta = metrics->snapshot().delta(metrics_before);
-
-    SpatialSnapshot spatial_delta;
-    if (spatial)
-        spatial_delta = spatialSnapshot().delta(spatial_before);
-
-#if NEUROCUBE_TRACE_ENABLED
-    EnergySnapshot energy_delta;
-    if (energy)
-        energy_delta = energy->snapshot().delta(energy_before);
-#endif
+    CounterSnapshot counters_delta;
+    if (counters)
+        counters_delta = counters->snapshot().delta(counters_before);
 
     for (size_t g = 0; g < n; ++g) {
         const PassScheduler::Slice &s = groups[g].slice;
@@ -593,15 +563,17 @@ Neurocube::runLayerOnGroups(const LayerDesc &layer,
         r.memoryBytes = fp.totalBytes();
         r.duplicationBytes = fp.duplicationBytes;
 
-        if (metrics) {
-            r.bottleneck = buildBottleneckReport(metrics_delta, nodes);
-            fillHistogramSummaries(r.bottleneck, nodes);
-        }
-        if (spatial) {
-            r.spatial = nodes ? filterSnapshotToNodes(spatialTopology(),
-                                                      spatial_delta,
-                                                      *nodes)
-                              : spatial_delta;
+        if (counters) {
+            const CounterSnapshot lane =
+                nodes ? counters->onNodes(counters_delta, *nodes)
+                      : counters_delta;
+            if (counters->metricsOn()) {
+                r.bottleneck =
+                    buildBottleneckReport(counters->stallTotals(lane));
+                fillHistogramSummaries(r.bottleneck, nodes);
+            }
+            r.energy = counters->energyCounts(lane);
+            r.spatial = counters->spatialSnapshot(lane);
         }
         // The group owns its slice's PEs and vault channels, so its
         // ceilings come from a machine of that size.
@@ -609,11 +581,6 @@ Neurocube::runLayerOnGroups(const LayerDesc &layer,
         group_cfg.numPes = unsigned(s.pes.size());
         group_cfg.dram.numChannels = unsigned(s.channels.size());
         r.roofline = rooflinePoint(layer, group_cfg, r);
-
-#if NEUROCUBE_TRACE_ENABLED
-        if (energy)
-            r.energy = energy_delta.sum(nodes);
-#endif
 
         if (outputs[g])
             *outputs[g] = compiler_.gather(compiled[g], stores[g]);

@@ -157,16 +157,15 @@ class Neurocube
 
     /**
      * The machine shape the spatial counters describe (mesh width,
-     * links, vault hosting), or an empty topology when no spatial
-     * registry is active.
+     * links, vault hosting), or an empty topology when spatial
+     * accounting is off.
      */
     SpatialTopology spatialTopology();
 
     /**
-     * Cumulative spatial counters: the registry's link/vault/PE
-     * arrays plus the fabric's per-node injection counters (which
-     * live in the NoC stats, not the registry). Empty/invalid when
-     * no spatial registry is active.
+     * Cumulative spatial counters (link, vault, PE and node vectors,
+     * read out of the counter table). Empty/invalid when spatial
+     * accounting is off.
      */
     SpatialSnapshot spatialSnapshot();
 

@@ -189,11 +189,6 @@ MemoryChannel::serveWord(Tick now, Ring<MemRequest> &queue,
     probe_.addEnergy(EnergyEventKind::VaultXact, traceId_, 1);
     probe_.addEnergy(EnergyEventKind::DramBit, traceId_,
                      uint64_t(packed) * 8 * bytesPerElement);
-    // Same expression as the DramBit publish divided by 8, so the
-    // per-vault byte heatmap sums to EnergyCounts[DramBit]/8 exactly
-    // (tests/test_spatial.cc asserts the identity).
-    probe_.addSpatial(SpatialCounter::VaultByte, traceId_,
-                      uint64_t(packed) * bytesPerElement);
     probe_.event(TraceComponent::Vault, traceId_,
                  TraceEventType::DramWord, is_write ? 1 : 0,
                  uint64_t(packed) * 8 * bytesPerElement);

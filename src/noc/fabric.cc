@@ -42,12 +42,13 @@ void
 NocFabric::publishSpatialTopology() const
 {
     // The Neurocube top level constructs its TraceSession before the
-    // fabric, so the probe's spatial registry already knows the node/
-    // vault/PE extents; the fabric contributes the link list. Notrace
-    // builds have no session, so the body compiles out with them.
+    // fabric, so the probe's counter table already knows the node/
+    // vault/PE extents; the fabric contributes the link list and its
+    // per-node injection counters. Notrace builds have no session, so
+    // the body compiles out with them.
     if constexpr (NEUROCUBE_TRACE_ENABLED) {
-        SpatialRegistry *registry = probe_.spatial;
-        if (registry == nullptr)
+        CounterRegistry *counters = probe_.counters;
+        if (counters == nullptr)
             return;
         std::vector<SpatialLink> links;
         links.reserve(links_.size());
@@ -55,7 +56,8 @@ NocFabric::publishSpatialTopology() const
             links.push_back({uint16_t(link.srcRouter),
                              uint16_t(link.dstRouter)});
         }
-        registry->configureLinks(meshWidth_, std::move(links));
+        counters->configureFabric(meshWidth_, std::move(links),
+                                  &nodeLateral_, &nodeLocal_);
     }
 }
 

@@ -299,7 +299,8 @@ class NocFabric
     void buildMesh();
     void buildFullyConnected();
     void accountInjection(unsigned node, const Packet &packet);
-    /** Publish link endpoints to the probe's SpatialRegistry. */
+    /** Publish link endpoints and per-node injection counters to the
+     *  probe's counter table. */
     void publishSpatialTopology() const;
     /** Move packets across one link (phase 2 body). @p index is the
      *  link's ordinal in links_ (spatial counter instance). */

@@ -163,7 +163,6 @@ Pe::flush(Tick now)
     }
     statMacOps_ += active;
     statFlushes_ += 1;
-    probe_.addSpatial(SpatialCounter::PeMac, id_, active);
     probe_.addEnergy(EnergyEventKind::MacOp, id_, active);
     probe_.event(TraceComponent::Pe, id_, TraceEventType::MacBusy,
                  active, params_.numMacs);

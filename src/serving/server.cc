@@ -29,15 +29,14 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
 
     const Tick start = cube_.now();
 
-    MetricsRegistry *metrics = probe.metrics;
-    MetricsSnapshot metrics_before;
-    if (metrics)
-        metrics_before = metrics->snapshot();
-
-    SpatialRegistry *spatial = probe.spatial;
-    SpatialSnapshot spatial_before;
-    if (spatial)
-        spatial_before = cube_.spatialSnapshot();
+    // Notrace builds never have a counter table, so the reads of it
+    // compile out with them.
+    const CounterRegistry *counters = probe.counters;
+    CounterSnapshot counters_before;
+    if constexpr (NEUROCUBE_TRACE_ENABLED) {
+        if (counters)
+            counters_before = counters->snapshot();
+    }
 
     // Admit every arrival up to (and including) tick `upto`, in
     // arrival order. Arrivals that land while the cube is busy with
@@ -117,8 +116,6 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
 
         ++res.batches;
         res.busyCycles += done - dispatch;
-        for (const RunResult &lane_run : batch.lanes)
-            res.energy += lane_run.energyCounts();
 
         probe.tick(done);
         for (uint64_t id : ids) {
@@ -137,13 +134,18 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
 
     res.makespan = cube_.now() - start;
     res.queueDepth = queue.depthHistogram();
-    if (metrics) {
-        res.bottleneck = buildBottleneckReport(
-            metrics->snapshot().delta(metrics_before));
-    }
-    if (spatial) {
-        res.spatial = cube_.spatialSnapshot().delta(spatial_before);
-        res.spatialTopology = cube_.spatialTopology();
+    if constexpr (NEUROCUBE_TRACE_ENABLED) {
+        if (counters) {
+            const CounterSnapshot delta =
+                counters->snapshot().delta(counters_before);
+            if (counters->metricsOn()) {
+                res.bottleneck =
+                    buildBottleneckReport(counters->stallTotals(delta));
+            }
+            res.energy = counters->energyCounts(delta);
+            res.spatial = counters->spatialSnapshot(delta);
+            res.spatialTopology = cube_.spatialTopology();
+        }
     }
     if (!config_.spansJsonlPath.empty())
         writeRequestSpansJsonl(config_.spansJsonlPath, res);

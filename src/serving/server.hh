@@ -131,8 +131,8 @@ struct ServingResult
                          "request queue depth"};
 
     /**
-     * Activity counts accumulated over every batch (energy per
-     * request). valid only when the cube ran with energy accounting.
+     * Activity counts over the whole run (energy per request). valid
+     * only when the cube ran with energy accounting.
      */
     EnergyCounts energy;
 

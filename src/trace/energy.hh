@@ -4,18 +4,18 @@
  *
  * Every simulated component publishes its energy-bearing activity
  * (MAC operations, operand-cache accesses, buffer writes, flit hops,
- * DRAM bits, ...) through its Probe (trace/probe.hh) into the
- * EnergyRegistry owned by its machine's TraceSession — the same
- * publish/snapshot/delta shape as the stall-attribution metrics in
- * trace/metrics.hh. Counting is a single array increment; pricing
- * (counts x pJ) happens at report time in power/activity_energy.hh,
- * so the same raw counts can be priced at either technology node.
+ * DRAM bits, ...) through its Probe (trace/probe.hh) into the energy
+ * block of the CounterRegistry (trace/counters.hh) owned by its
+ * machine's TraceSession. Counting is a single array increment;
+ * pricing (counts x pJ) happens at report time in
+ * power/activity_energy.hh, so the same raw counts can be priced at
+ * either technology node.
  *
  * The accounting is observational only: recording an event never
  * alters component behaviour, so enabling energy accounting cannot
  * change simulated cycle counts (tests/test_golden_cycles.cc
  * asserts this). With -DNEUROCUBE_TRACE=OFF the publish calls
- * compile to nothing and no EnergyRegistry is ever created.
+ * compile to nothing and no counter table is ever created.
  */
 
 #ifndef NEUROCUBE_TRACE_ENERGY_HH
@@ -24,7 +24,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "trace/events.hh"
@@ -35,7 +34,7 @@ namespace neurocube
 /**
  * One kind of energy-bearing activity. Each kind is published by
  * exactly one component class, so a single node-indexed counter
- * table serves the whole machine.
+ * block serves the whole machine.
  */
 enum class EnergyEventKind : uint8_t
 {
@@ -100,60 +99,6 @@ struct EnergyCounts
 };
 
 /**
- * A copy of every instance's counters at one point in time. Also the
- * storage the live EnergyRegistry mutates. Instances are node-indexed
- * (PE id, router id, PNG node, channel index — batching requires the
- * identity vault attachment, so one index space covers them all).
- */
-struct EnergySnapshot
-{
-    std::vector<EnergyCounts> instances;
-
-    /** Per-instance counter deltas since @p before. */
-    EnergySnapshot delta(const EnergySnapshot &before) const;
-
-    /**
-     * Sum counts over instances, restricted to @p nodes when non-null
-     * (per-lane attribution). valid iff any instance exists.
-     */
-    EnergyCounts sum(const std::vector<unsigned> *nodes = nullptr) const;
-};
-
-/**
- * The live activity counters, owned by the TraceSession and fed by
- * Probe::addEnergy. Instances must be sized with configure() before
- * counting; events for unknown instances are dropped (never
- * undefined behaviour).
- */
-class EnergyRegistry
-{
-  public:
-    /** Size the per-instance counter array (nodes on the mesh). */
-    void configure(unsigned instances);
-
-    /** Count @p amount units of one kind at one instance. */
-    void
-    add(EnergyEventKind kind, unsigned instance, uint64_t amount)
-    {
-        auto &vec = state_.instances;
-        if (instance < vec.size())
-            vec[instance].n[size_t(kind)] += amount;
-    }
-
-    /** The live counters (read-only view). */
-    const EnergySnapshot &state() const { return state_; }
-
-    /** Deep copy of the current counters. */
-    EnergySnapshot snapshot() const { return state_; }
-
-    /** Zero every counter (instance sizing is kept). */
-    void reset();
-
-  private:
-    EnergySnapshot state_;
-};
-
-/**
  * Per-event energy prices in picojoules, the flat plain-data form
  * the trace-layer exporters consume (power-over-time tracks). The
  * defaults are the 15 nm Table II derivation; ActivityEnergyModel
@@ -196,9 +141,9 @@ struct EnergyPrices
  * Price one trace event in pJ — the window-power estimate the
  * exporters use for the CSV avg_power_w column and the Chrome
  * power.W counter track. This prices the event *stream*, which sees
- * slightly less than the registry (temporal-buffer and weight-
+ * slightly less than the counter table (temporal-buffer and weight-
  * register accesses publish no trace events); the exact per-layer
- * accounting is the EnergyRegistry path.
+ * accounting is the counter-table path.
  */
 double tracePjOf(const TraceEvent &event, const EnergyPrices &prices);
 

@@ -27,65 +27,8 @@ stallClassName(StallClass cls)
     return "?";
 }
 
-MetricsSnapshot
-MetricsSnapshot::delta(const MetricsSnapshot &before) const
-{
-    MetricsSnapshot d;
-    for (size_t c = 0; c < comps.size(); ++c) {
-        const auto &now = comps[c];
-        const auto &then = before.comps[c];
-        d.comps[c].resize(now.size());
-        for (size_t i = 0; i < now.size(); ++i) {
-            d.comps[c][i] = i < then.size() ? now[i] - then[i]
-                                            : now[i];
-        }
-    }
-    return d;
-}
-
-void
-MetricsRegistry::configure(unsigned routers, unsigned pes,
-                           unsigned pngs, unsigned vaults)
-{
-    state_.comps[size_t(TraceComponent::Router)].assign(routers, {});
-    state_.comps[size_t(TraceComponent::Pe)].assign(pes, {});
-    state_.comps[size_t(TraceComponent::Png)].assign(pngs, {});
-    state_.comps[size_t(TraceComponent::Vault)].assign(vaults, {});
-}
-
-void
-MetricsRegistry::reset()
-{
-    for (auto &vec : state_.comps)
-        std::fill(vec.begin(), vec.end(), StallBreakdown{});
-}
-
 namespace
 {
-
-/** True when @p nodes is null or contains @p instance. */
-bool
-selected(const std::vector<unsigned> *nodes, size_t instance)
-{
-    if (nodes == nullptr)
-        return true;
-    return std::find(nodes->begin(), nodes->end(),
-                     unsigned(instance)) != nodes->end();
-}
-
-/** Sum the breakdowns of one component class (node-filtered). */
-StallBreakdown
-sumComponent(const MetricsSnapshot &delta, TraceComponent c,
-             const std::vector<unsigned> *nodes)
-{
-    StallBreakdown sum;
-    const auto &vec = delta.of(c);
-    for (size_t i = 0; i < vec.size(); ++i) {
-        if (selected(nodes, i))
-            sum += vec[i];
-    }
-    return sum;
-}
 
 /** Fraction of a breakdown's cycles spent in one class. */
 double
@@ -106,15 +49,13 @@ constexpr double kIdleFloor = 0.05;
 } // namespace
 
 BottleneckReport
-buildBottleneckReport(const MetricsSnapshot &delta,
-                      const std::vector<unsigned> *nodes)
+buildBottleneckReport(const StallTotals &totals)
 {
     BottleneckReport report;
 
     StallBreakdown machine;
-    for (size_t c = 0; c < delta.comps.size(); ++c) {
-        StallBreakdown comp = sumComponent(
-            delta, TraceComponent(c), nodes);
+    for (size_t c = 0; c < totals.size(); ++c) {
+        const StallBreakdown &comp = totals[c];
         machine += comp;
         uint64_t total = comp.total();
         for (size_t s = 0; s < numStallClasses; ++s) {
@@ -131,14 +72,11 @@ buildBottleneckReport(const MetricsSnapshot &delta,
                             / double(report.countedTicks);
     }
 
-    StallBreakdown pe =
-        sumComponent(delta, TraceComponent::Pe, nodes);
-    StallBreakdown router =
-        sumComponent(delta, TraceComponent::Router, nodes);
-    StallBreakdown png =
-        sumComponent(delta, TraceComponent::Png, nodes);
-    StallBreakdown vault =
-        sumComponent(delta, TraceComponent::Vault, nodes);
+    const StallBreakdown &pe = totals[size_t(TraceComponent::Pe)];
+    const StallBreakdown &router =
+        totals[size_t(TraceComponent::Router)];
+    const StallBreakdown &png = totals[size_t(TraceComponent::Png)];
+    const StallBreakdown &vault = totals[size_t(TraceComponent::Vault)];
 
     report.peBusy = frac(pe, StallClass::Busy);
     report.peStallCache = frac(pe, StallClass::StallCache);

@@ -4,9 +4,10 @@
  *
  * Every ticked component (router, PE, PNG, memory channel) classifies
  * each of its cycles into one StallClass through its Probe's cycle()
- * (trace/probe.hh). The counters live in a MetricsRegistry owned by
- * the machine's TraceSession; with no session the accounting is a
- * null-check, and with -DNEUROCUBE_TRACE=OFF it compiles away.
+ * (trace/probe.hh). The counters live in the stall blocks of the
+ * CounterRegistry (trace/counters.hh) owned by the machine's
+ * TraceSession; with no session the accounting is a null-check, and
+ * with -DNEUROCUBE_TRACE=OFF it compiles away.
  *
  * Unlike the event bus in trace/trace.hh, which records *what
  * happened*, this layer answers *where the cycles went*: snapshots
@@ -27,7 +28,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "trace/events.hh"
@@ -96,88 +96,11 @@ struct StallBreakdown
             ticks[i] += other.ticks[i];
         return *this;
     }
-
-    /** Counter delta (counts are monotone, so this never wraps). */
-    StallBreakdown
-    operator-(const StallBreakdown &other) const
-    {
-        StallBreakdown d;
-        for (size_t i = 0; i < numStallClasses; ++i)
-            d.ticks[i] = ticks[i] - other.ticks[i];
-        return d;
-    }
 };
 
-/**
- * A copy of every component's counters at one point in time. Also the
- * storage the live MetricsRegistry mutates. Indexed by component
- * class, then instance.
- */
-struct MetricsSnapshot
-{
-    std::array<std::vector<StallBreakdown>,
-               size_t(TraceComponent::ComponentCount)>
-        comps;
-
-    /** Counters of one component class. */
-    const std::vector<StallBreakdown> &
-    of(TraceComponent c) const
-    {
-        return comps[size_t(c)];
-    }
-
-    /** Per-instance counter deltas since @p before. */
-    MetricsSnapshot delta(const MetricsSnapshot &before) const;
-};
-
-/**
- * The live cycle-accounting counters, owned by the TraceSession and
- * fed by Probe::cycle(s). Instances must be sized with configure()
- * before counting; cycles reported for unknown instances are dropped
- * (never undefined behaviour).
- */
-class MetricsRegistry
-{
-  public:
-    /** Size the per-instance counter arrays. */
-    void configure(unsigned routers, unsigned pes, unsigned pngs,
-                   unsigned vaults);
-
-    /** Classify one cycle of one component instance. */
-    void
-    cycle(TraceComponent component, unsigned instance, StallClass cls)
-    {
-        auto &vec = state_.comps[size_t(component)];
-        if (instance < vec.size())
-            ++vec[instance].ticks[size_t(cls)];
-    }
-
-    /**
-     * Classify @p n identical cycles in one update (the event engine
-     * accounting for a skipped idle/stall stretch in bulk; exactly
-     * equivalent to n cycle() calls).
-     */
-    void
-    cycles(TraceComponent component, unsigned instance, StallClass cls,
-           uint64_t n)
-    {
-        auto &vec = state_.comps[size_t(component)];
-        if (instance < vec.size())
-            vec[instance].ticks[size_t(cls)] += n;
-    }
-
-    /** The live counters (read-only view). */
-    const MetricsSnapshot &state() const { return state_; }
-
-    /** Deep copy of the current counters. */
-    MetricsSnapshot snapshot() const { return state_; }
-
-    /** Zero every counter (instance sizing is kept). */
-    void reset();
-
-  private:
-    MetricsSnapshot state_;
-};
+/** Cycle counts summed per component class (TraceComponent order). */
+using StallTotals =
+    std::array<StallBreakdown, size_t(TraceComponent::ComponentCount)>;
 
 /** Five-number summary of one Histogram (for reports/JSON). */
 struct HistogramSummary
@@ -190,11 +113,11 @@ struct HistogramSummary
 };
 
 /**
- * Per-layer (or per-lane) bottleneck attribution derived from a
- * metrics delta. `fractions` is the machine-level breakdown over
- * every classified component-cycle in the delta and sums to 1 (when
- * countedTicks > 0); `componentFractions` gives the same breakdown
- * per component class.
+ * Per-layer (or per-lane) bottleneck attribution derived from the
+ * stall totals of a counter delta. `fractions` is the machine-level
+ * breakdown over every classified component-cycle in the delta and
+ * sums to 1 (when countedTicks > 0); `componentFractions` gives the
+ * same breakdown per component class.
  */
 struct BottleneckReport
 {
@@ -245,7 +168,7 @@ struct BottleneckReport
 };
 
 /**
- * Top-down bottleneck classification of a metrics delta.
+ * Top-down bottleneck classification of an interval's stall totals.
  *
  * The decision order mirrors top-down CPU analysis: compute
  * saturation first ("mac"), then the operand-cache search penalty
@@ -255,14 +178,11 @@ struct BottleneckReport
  * then DRAM service ("dram"), falling back to the largest stall
  * fraction or "idle".
  *
- * @param delta counter delta covering the interval of interest
- * @param nodes when non-null, restrict to these node indices (per-
- *        lane attribution; router/PE/PNG/vault instances are node-
- *        indexed)
+ * @param totals per-component stall totals of the interval of
+ *        interest (CounterRegistry::stallTotals of a delta, restricted
+ *        to one lane's nodes for per-lane attribution)
  */
-BottleneckReport
-buildBottleneckReport(const MetricsSnapshot &delta,
-                      const std::vector<unsigned> *nodes = nullptr);
+BottleneckReport buildBottleneckReport(const StallTotals &totals);
 
 } // namespace neurocube
 

@@ -63,20 +63,8 @@ PhaseSegment::avgPowerW() const
 }
 
 std::string
-phaseReport(const std::vector<PhaseSegment> &segments)
-{
-    std::ostringstream os;
-    for (const PhaseSegment &s : segments) {
-        os << "  [" << s.startTick << ", " << s.endTick << ") "
-           << phaseKindName(s.kind) << " (" << s.windows
-           << (s.windows == 1 ? " window)" : " windows)") << "\n";
-    }
-    return os.str();
-}
-
-std::string
 phaseEnergyJson(const std::vector<PhaseSegment> &segments,
-                Tick windowTicks)
+                Tick windowTicks, uint64_t samplePeriod)
 {
     auto num = [](double value) {
         std::ostringstream ns;
@@ -86,7 +74,9 @@ phaseEnergyJson(const std::vector<PhaseSegment> &segments,
         return ns.str();
     };
     std::ostringstream os;
-    os << "{\"window_ticks\": " << windowTicks << ", \"segments\": [";
+    os << "{\"window_ticks\": " << windowTicks
+       << ", \"sample_period\": " << samplePeriod
+       << ", \"segments\": [";
     for (size_t i = 0; i < segments.size(); ++i) {
         const PhaseSegment &s = segments[i];
         os << (i ? ", " : "") << "{\"kind\": \""

@@ -85,17 +85,16 @@ struct PhaseSegment
     double avgPowerW() const;
 };
 
-/** Render segments as one human-readable line each. */
-std::string phaseReport(const std::vector<PhaseSegment> &segments);
-
 /**
  * Serialize a phase-energy rollup as a JSON document:
- * {"window_ticks": N, "segments": [{"kind", "start", "end",
- * "ticks", "windows", "joules", "avg_power_w"}, ...]}.
- * Deterministic (fixed field order, setprecision(12) numbers).
+ * {"window_ticks": N, "sample_period": P, "segments": [{"kind",
+ * "start", "end", "ticks", "windows", "joules", "avg_power_w"}, ...]}.
+ * With P > 1 the segments' kinds and joules come from the 1-in-P
+ * windows the recorder sampled only. Deterministic (fixed field
+ * order, setprecision(12) numbers).
  */
 std::string phaseEnergyJson(const std::vector<PhaseSegment> &segments,
-                            Tick windowTicks);
+                            Tick windowTicks, uint64_t samplePeriod);
 
 } // namespace neurocube
 

@@ -2,8 +2,8 @@
  * @file
  * Probe: the telemetry sinks of one machine.
  *
- * A Probe is four sink pointers — the trace-event recorder and the
- * metrics, energy, and spatial registries — any of which may be null.
+ * A Probe is two sink pointers — the trace-event recorder and the
+ * counter table (trace/counters.hh) — either of which may be null.
  * A Neurocube fills its Probe from its own TraceSession before it
  * builds a single component and hands a copy to every component at
  * construction; the pointers never change for the machine's
@@ -14,8 +14,9 @@
  * Every instrumentation site is one call on the component's Probe:
  * event() and tick() for the recorder, cycle()/cycles() for the
  * stall-attribution metrics, addEnergy() and addSpatial() for the
- * activity counters. Each costs one member load and a predictable
- * branch while its sink is absent. With -DNEUROCUBE_TRACE=OFF
+ * activity counters; the last four all land in the counter table.
+ * Each costs one member load and a predictable branch while its sink
+ * is absent. With -DNEUROCUBE_TRACE=OFF
  * (NEUROCUBE_TRACE_ENABLED == 0) the bodies are discarded at compile
  * time, so a site reduces to its (side-effect-free) arguments, which
  * the optimizer drops: no code, no branches, and no reference to the
@@ -28,9 +29,7 @@
 #include <cstdint>
 
 #include "common/types.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
-#include "trace/spatial.hh"
+#include "trace/counters.hh"
 #include "trace/trace.hh"
 
 namespace neurocube
@@ -40,9 +39,7 @@ namespace neurocube
 struct Probe
 {
     TraceRecorder *recorder = nullptr;
-    MetricsRegistry *metrics = nullptr;
-    EnergyRegistry *energy = nullptr;
-    SpatialRegistry *spatial = nullptr;
+    CounterRegistry *counters = nullptr;
 
     /** Record one trace event at the recorder's current tick. */
     void
@@ -73,8 +70,8 @@ struct Probe
           StallClass cls) const
     {
         if constexpr (NEUROCUBE_TRACE_ENABLED) {
-            if (metrics)
-                metrics->cycle(component, instance, cls);
+            if (counters)
+                counters->cycle(component, instance, cls);
         }
     }
 
@@ -84,8 +81,8 @@ struct Probe
            uint64_t n) const
     {
         if constexpr (NEUROCUBE_TRACE_ENABLED) {
-            if (metrics)
-                metrics->cycles(component, instance, cls, n);
+            if (counters)
+                counters->cycles(component, instance, cls, n);
         }
     }
 
@@ -95,8 +92,8 @@ struct Probe
               uint64_t amount) const
     {
         if constexpr (NEUROCUBE_TRACE_ENABLED) {
-            if (energy)
-                energy->add(kind, instance, amount);
+            if (counters)
+                counters->addEnergy(kind, instance, amount);
         }
     }
 
@@ -106,8 +103,8 @@ struct Probe
                uint64_t amount) const
     {
         if constexpr (NEUROCUBE_TRACE_ENABLED) {
-            if (spatial)
-                spatial->add(counter, instance, amount);
+            if (counters)
+                counters->addSpatial(counter, instance, amount);
         }
     }
 };

@@ -6,13 +6,14 @@
  * energy counts (trace/energy.hh) say *what* a run was bound by; this
  * layer says *where*. Every router-to-router link counts its flit
  * traversals, credit-stall cycles, and source-queue occupancy; every
- * vault channel counts its DRAM bytes and queue-depth integral; every
- * PE counts its active MAC operations. The counters live in a
- * SpatialRegistry owned by the machine's TraceSession and are
- * published through its Probe — the same publish/snapshot/
- * delta shape as the other two registries, with the same costs: one
- * array increment while a session is live, a null-check while not,
- * and nothing at all with -DNEUROCUBE_TRACE=OFF.
+ * vault channel counts its queue-depth integral. The per-vault DRAM
+ * bytes and per-PE MAC operations are not counted again: they are
+ * the DramBit and MacOp columns of the energy counters. All of them
+ * live in the CounterRegistry (trace/counters.hh) owned by the
+ * machine's TraceSession and are published through its Probe, with
+ * the same costs as every other counter: one array increment while a
+ * session is live, a null-check while not, and nothing at all with
+ * -DNEUROCUBE_TRACE=OFF.
  *
  * The accounting is observational only: counting never alters
  * component behaviour, so enabling the spatial layer cannot change
@@ -55,15 +56,18 @@ enum class SpatialCounter : uint8_t
      * length feeding the link).
      */
     LinkOccupancy,
-    /** Bytes served by one vault channel's DRAM interface. */
-    VaultByte,
     /**
      * Read+write queue depth of one vault channel, summed over its
      * executed cycles (divide by cycles for mean queue depth).
      */
     VaultQueue,
-    /** MAC operations retired by one PE. */
-    PeMac,
+    /**
+     * Lateral / node-local packets injected at one mesh node. Not
+     * published: the NoC fabric keeps these counts for its own
+     * statistics, and CounterRegistry::snapshot() copies them in.
+     */
+    NodeLateral,
+    NodeLocal,
     CounterCount,
 };
 
@@ -99,20 +103,21 @@ struct SpatialTopology
 };
 
 /**
- * A copy of every spatial counter at one point in time. Also the
- * storage the live SpatialRegistry mutates. Link counters are
- * indexed by link ordinal (SpatialTopology::links order), vault
- * counters by channel index, PE counters by PE id, and the node
- * injection counters — folded in from the NoC fabric's per-node
- * accounting by Neurocube::spatialSnapshot() — by mesh node.
+ * Spatial counters of one interval, read out of the counter table by
+ * CounterRegistry::spatialSnapshot(). Link counters are indexed by
+ * link ordinal (SpatialTopology::links order), vault counters by
+ * channel index, PE counters by PE id, and the node injection
+ * counters by mesh node.
  */
 struct SpatialSnapshot
 {
     std::vector<uint64_t> linkFlits;
     std::vector<uint64_t> linkStalls;
     std::vector<uint64_t> linkOccupancy;
+    /** DRAM bytes per channel: the DramBit energy column / 8. */
     std::vector<uint64_t> vaultBytes;
     std::vector<uint64_t> vaultQueueTicks;
+    /** MAC operations per PE: the MacOp energy column. */
     std::vector<uint64_t> peMacOps;
     /** Lateral / node-local packets injected at each node. */
     std::vector<uint64_t> nodeLateral;
@@ -126,9 +131,6 @@ struct SpatialSnapshot
             || !peMacOps.empty() || !nodeLateral.empty();
     }
 
-    /** Per-instance counter deltas since @p before. */
-    SpatialSnapshot delta(const SpatialSnapshot &before) const;
-
     /** Accumulate another snapshot's counts (per-layer roll-up). */
     SpatialSnapshot &operator+=(const SpatialSnapshot &other);
 
@@ -138,84 +140,6 @@ struct SpatialSnapshot
     uint64_t totalVaultBytes() const;
     /** Sum of the per-PE MAC counters. */
     uint64_t totalPeMacOps() const;
-};
-
-/**
- * The live spatial counters, owned by the TraceSession and fed by
- * Probe::addSpatial. Instances must be sized with configure() /
- * configureLinks() before counting; events for unknown instances are
- * dropped (never undefined behaviour).
- */
-class SpatialRegistry
-{
-  public:
-    /**
-     * Size the node/vault/PE counter arrays (TraceSession).
-     *
-     * @param vault_node vault ordinal -> hosting mesh node
-     *        (empty = identity attachment)
-     */
-    void configure(unsigned nodes, unsigned vaults, unsigned pes,
-                   std::vector<uint16_t> vault_node = {});
-
-    /**
-     * Publish the fabric's link list and size the per-link counter
-     * arrays (called by the NocFabric constructor; the fabric is
-     * built after the session, so links arrive second).
-     *
-     * @param mesh_width mesh side length, 0 for non-mesh fabrics
-     * @param links directed links in counter-instance order
-     */
-    void configureLinks(unsigned mesh_width,
-                        std::vector<SpatialLink> links);
-
-    /** Count @p amount units of one counter at one instance. */
-    void
-    add(SpatialCounter counter, unsigned instance, uint64_t amount)
-    {
-        std::vector<uint64_t> *vec = nullptr;
-        switch (counter) {
-          case SpatialCounter::LinkFlit:
-            vec = &state_.linkFlits;
-            break;
-          case SpatialCounter::LinkStall:
-            vec = &state_.linkStalls;
-            break;
-          case SpatialCounter::LinkOccupancy:
-            vec = &state_.linkOccupancy;
-            break;
-          case SpatialCounter::VaultByte:
-            vec = &state_.vaultBytes;
-            break;
-          case SpatialCounter::VaultQueue:
-            vec = &state_.vaultQueueTicks;
-            break;
-          case SpatialCounter::PeMac:
-            vec = &state_.peMacOps;
-            break;
-          case SpatialCounter::CounterCount:
-            return;
-        }
-        if (instance < vec->size())
-            (*vec)[instance] += amount;
-    }
-
-    /** The machine shape the counters describe. */
-    const SpatialTopology &topology() const { return topology_; }
-
-    /** The live counters (read-only view). */
-    const SpatialSnapshot &state() const { return state_; }
-
-    /** Deep copy of the current counters (node vectors excluded —
-     *  the fabric owns those; see Neurocube::spatialSnapshot()). */
-    SpatialSnapshot snapshot() const { return state_; }
-
-    /** Zero every counter (instance sizing is kept). */
-    void reset();
-
-  private:
-    SpatialTopology topology_;
-    SpatialSnapshot state_;
 };
 
 /**
@@ -233,18 +157,6 @@ class SpatialRegistry
 std::string spatialSnapshotJson(const SpatialTopology &topology,
                                 const SpatialSnapshot &snapshot,
                                 uint64_t cycles = 0);
-
-/**
- * Restrict a snapshot to one set of mesh nodes (batch-lane
- * attribution): entries outside the set are zeroed, vector sizes are
- * kept, so filtered snapshots of a partition still sum back to the
- * whole. Links are kept when both endpoints are in the set; vaults
- * follow their hosting node (topology.vaultNode, identity when
- * empty); PE and node entries follow their own index.
- */
-SpatialSnapshot filterSnapshotToNodes(
-    const SpatialTopology &topology, const SpatialSnapshot &snapshot,
-    const std::vector<unsigned> &nodes);
 
 } // namespace neurocube
 

@@ -29,16 +29,29 @@ merge(std::vector<PhaseSegment> &segments, const PhaseSegment &next)
 /**
  * Append the window [start, start + window). The windows the CSV
  * skipped since the last one saw no event at all; they are reinstated
- * as quiescent so phases stay contiguous.
+ * as quiescent so phases stay contiguous. Under 1-in-@p period
+ * sampling, the windows the recorder sampled out carry no evidence of
+ * their own: the segment before them is bridged across them, up to
+ * the first sampled window of the gap.
  */
 void
 appendWindow(std::vector<PhaseSegment> &segments, Tick start,
-             Tick window, PhaseKind kind, double joules)
+             Tick window, uint64_t period, PhaseKind kind,
+             double joules)
 {
     if (!segments.empty() && segments.back().endTick < start) {
-        const Tick gap = segments.back().endTick;
-        merge(segments, {gap, start, PhaseKind::Quiescent,
-                         unsigned((start - gap) / window), 0.0});
+        PhaseSegment &last = segments.back();
+        const Tick stride = window * period;
+        const Tick sampled =
+            (last.endTick + stride - 1) / stride * stride;
+        const Tick bridged = std::min(sampled, start);
+        last.windows += unsigned((bridged - last.endTick) / window);
+        last.endTick = bridged;
+        if (bridged < start) {
+            merge(segments, {bridged, start, PhaseKind::Quiescent,
+                             unsigned((start - bridged) / window),
+                             0.0});
+        }
     }
     merge(segments, {start, start + window, kind, 1, joules});
 }
@@ -47,9 +60,10 @@ appendWindow(std::vector<PhaseSegment> &segments, Tick start,
 
 TimeSeriesCsvExporter::TimeSeriesCsvExporter(
     std::ostream &os, const TraceTopology &topology, Tick windowTicks,
-    EnergyPrices prices)
+    EnergyPrices prices, uint64_t samplePeriod)
     : os_(os), topology_(topology),
       window_(windowTicks > 0 ? windowTicks : 1), prices_(prices),
+      period_(samplePeriod > 0 ? samplePeriod : 1),
       vaultBits_(topology.numVaults, 0)
 {
     os_ << "window_start,noc_flits_per_cycle,ejected_per_cycle,"
@@ -102,8 +116,9 @@ TimeSeriesCsvExporter::flushWindow()
         os_ << ',' << bits / 8;
     os_ << "\n";
 
-    appendWindow(phases_, windowStart_, window_, windowKind(),
-                 windowPj_ * 1e-12);
+    if (sampled())
+        appendWindow(phases_, windowStart_, window_, period_,
+                     windowKind(), windowPj_ * 1e-12);
     resetAccumulators();
 }
 
@@ -138,9 +153,9 @@ std::vector<PhaseSegment>
 TimeSeriesCsvExporter::phases() const
 {
     std::vector<PhaseSegment> segments = phases_;
-    if (sawEvent_) {
-        appendWindow(segments, windowStart_, window_, windowKind(),
-                     windowPj_ * 1e-12);
+    if (sawEvent_ && sampled()) {
+        appendWindow(segments, windowStart_, window_, period_,
+                     windowKind(), windowPj_ * 1e-12);
     }
     return segments;
 }

@@ -13,7 +13,10 @@
  * Each window it writes is also classified (classifyWindow in
  * trace/phase_detector.hh) and merged into the run's bottleneck-phase
  * segments, which phases() hands out from memory; nothing re-reads
- * the CSV.
+ * the CSV. Under window sampling (TraceConfig::samplePeriod > 1) the
+ * windows the recorder samples out still get their rows (exempt Sim
+ * events such as EngineSkip fall in them) but are not classified:
+ * the phases bridge them.
  */
 
 #ifndef NEUROCUBE_TRACE_TIMESERIES_EXPORTER_HH
@@ -39,21 +42,26 @@ class TimeSeriesCsvExporter : public TraceSink
      * @param windowTicks aggregation window in reference ticks
      * @param prices per-event energies backing the avg_power_w
      *        column (an event-stream estimate; see tracePjOf)
+     * @param samplePeriod the recorder's TraceConfig::samplePeriod:
+     *        only windows with (start / windowTicks) % samplePeriod
+     *        == 0 are classified
      */
     TimeSeriesCsvExporter(std::ostream &os,
                           const TraceTopology &topology,
                           Tick windowTicks,
-                          EnergyPrices prices = EnergyPrices{});
+                          EnergyPrices prices = EnergyPrices{},
+                          uint64_t samplePeriod = 1);
 
     void consume(const TraceEvent *events, size_t count) override;
     void finish() override;
 
     /**
      * Bottleneck phases of the events consumed so far, in time order:
-     * every written row classified and merged (windows the CSV skips
-     * read as quiescent), plus the still-open window. Each segment
-     * carries the exact event-stream energy of its windows. Flushes
-     * nothing.
+     * every written row of a sampled window classified and merged
+     * (windows the CSV skips read as quiescent, sampled-out windows
+     * extend the segment before them), plus the still-open window.
+     * Each segment carries the exact event-stream energy of its
+     * sampled windows. Flushes nothing.
      */
     std::vector<PhaseSegment> phases() const;
 
@@ -69,10 +77,18 @@ class TimeSeriesCsvExporter : public TraceSink
     void advanceWindow(Tick tick);
     void resetAccumulators();
 
+    /** True when the recorder sampled the current window. */
+    bool
+    sampled() const
+    {
+        return (windowStart_ / window_) % period_ == 0;
+    }
+
     std::ostream &os_;
     TraceTopology topology_;
     Tick window_;
     EnergyPrices prices_;
+    uint64_t period_;
     Tick windowStart_ = 0;
     bool sawEvent_ = false;
 

@@ -5,10 +5,8 @@
 
 #include "common/logging.hh"
 #include "trace/chrome_exporter.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
+#include "trace/counters.hh"
 #include "trace/probe.hh"
-#include "trace/spatial.hh"
 #include "trace/timeseries_exporter.hh"
 
 namespace neurocube
@@ -216,41 +214,20 @@ TraceSession::TraceSession(const TraceConfig &config,
     if (!config.timeseriesCsvPath.empty()) {
         auto csv = std::make_unique<TimeSeriesCsvExporter>(
             open(config.timeseriesCsvPath), topology,
-            config.windowTicks, config.energyPrices);
+            config.windowTicks, config.energyPrices,
+            config.samplePeriod);
         csv_ = csv.get();
         sinks_.push_back(std::move(csv));
     }
     for (auto &sink : sinks_)
         recorder_.addSink(sink.get());
 
-    if (config.metrics) {
-        metrics_ = std::make_unique<MetricsRegistry>();
-        // PNG instances publish their node index (the mesh node the
-        // channel attaches to), so size them like the node-indexed
-        // components; vault channels publish the channel index.
-        metrics_->configure(topology.numRouters, topology.numPes,
-                            topology.numRouters, topology.numVaults);
+    if (config.metrics || config.energy || config.spatial) {
+        // The NoC fabric (built after the session) adds its link
+        // list through CounterRegistry::configureFabric.
+        counters_ = std::make_unique<CounterRegistry>();
+        counters_->configure(topology, config);
     }
-
-    if (config.spatial) {
-        spatial_ = std::make_unique<SpatialRegistry>();
-        // Node/vault/PE extents come from the topology; the NoC
-        // fabric (built after the session) publishes its link list
-        // through SpatialRegistry::configureLinks.
-        spatial_->configure(topology.numRouters, topology.numVaults,
-                            topology.numPes, topology.vaultNode);
-    }
-
-#if NEUROCUBE_TRACE_ENABLED
-    if (config.energy) {
-        energy_ = std::make_unique<EnergyRegistry>();
-        // One node-indexed instance space covers every publisher
-        // (PEs, routers, PNGs, and vault channels all carry their
-        // mesh-node / channel index).
-        energy_->configure(std::max(
-            {topology.numRouters, topology.numPes, topology.numVaults}));
-    }
-#endif
 }
 
 Probe
@@ -261,11 +238,7 @@ TraceSession::probe()
     // a counters-only session leaves event sites at a null-check.
     if (!sinks_.empty())
         probe.recorder = &recorder_;
-    probe.metrics = metrics_.get();
-    probe.spatial = spatial_.get();
-#if NEUROCUBE_TRACE_ENABLED
-    probe.energy = energy_.get();
-#endif
+    probe.counters = counters_.get();
     return probe;
 }
 

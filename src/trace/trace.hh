@@ -35,9 +35,7 @@ namespace neurocube
 {
 
 class ChromeTraceExporter;
-class EnergyRegistry;
-class MetricsRegistry;
-class SpatialRegistry;
+class CounterRegistry;
 class TimeSeriesCsvExporter;
 struct PhaseSegment;
 struct Probe;
@@ -221,13 +219,12 @@ struct TraceTopology
  * TraceConfig, finished on destruction. Owned by the Neurocube top
  * level when config.trace.enabled is set; each machine has its own.
  *
- * Also owns the stall-attribution MetricsRegistry (when
- * config.metrics is set), the SpatialRegistry (config.spatial), and
- * the activity EnergyRegistry (config.energy, in NEUROCUBE_TRACE=ON
- * builds only). probe() hands the machine all of them as its Probe;
- * the recorder is included only when at least one sink exists, so a
- * counters-only session (no output paths) leaves event sites at a
- * null-check.
+ * Also owns the machine's CounterRegistry (trace/counters.hh) when
+ * any of config.metrics, config.energy or config.spatial is set,
+ * laid out for the enabled ones. probe() hands the machine the
+ * recorder and the counter table as its Probe; the recorder is
+ * included only when at least one sink exists, so a counters-only
+ * session (no output paths) leaves event sites at a null-check.
  *
  * When the timeseries CSV export is configured, its exporter keeps
  * the run's bottleneck-phase segments in memory (phases()); at
@@ -252,8 +249,8 @@ class TraceSession
 
     /**
      * The sinks this session's machine publishes to: the recorder
-     * (only when a sink consumes its events) and whichever registries
-     * the config enabled.
+     * (only when a sink consumes its events) and the counter table
+     * (when the config enabled any counters).
      */
     Probe probe();
 
@@ -267,11 +264,7 @@ class TraceSession
 
   private:
     TraceRecorder recorder_;
-    std::unique_ptr<MetricsRegistry> metrics_;
-    std::unique_ptr<SpatialRegistry> spatial_;
-#if NEUROCUBE_TRACE_ENABLED
-    std::unique_ptr<EnergyRegistry> energy_;
-#endif
+    std::unique_ptr<CounterRegistry> counters_;
     std::vector<std::unique_ptr<TraceSink>> sinks_;
     /** File streams backing the exporters (destroyed after sinks). */
     std::vector<std::unique_ptr<std::ofstream>> streams_;

@@ -97,6 +97,8 @@ struct TraceConfig
      * every window. Sampling only thins the *event* stream — the
      * stall-attribution and energy counters always see every cycle,
      * so metricsJson/energyJson are identical at any sample rate.
+     * The timeseries exporter classifies phases from the sampled
+     * windows only and bridges the others.
      * TraceComponent::Sim events (lane completions, engine-skip
      * aggregates, serving request spans) are exempt so per-request
      * spans and run summaries stay complete in sampled traces; a

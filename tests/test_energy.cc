@@ -1,6 +1,6 @@
 /**
  * @file
- * Activity-based energy accounting tests: the EnergyRegistry counter
+ * Activity-based energy accounting tests: the energy counter
  * plumbing, the Table II price derivation, the event-stream pricing
  * the exporters use, and the headline cross-validation — on the
  * fig12 workload the activity-based total must agree with the
@@ -16,6 +16,7 @@
 #include "nn/network.hh"
 #include "power/activity_energy.hh"
 #include "power/energy_model.hh"
+#include "trace/counters.hh"
 #include "trace/energy.hh"
 
 namespace neurocube
@@ -36,45 +37,66 @@ TEST(EnergyCountsTest, KindNamesAreUniqueAndLabeled)
                  "unknown");
 }
 
+/** A counter table of @p n nodes with every section on. */
+CounterRegistry
+registryOf(unsigned n)
+{
+    TraceTopology topology;
+    topology.numRouters = n;
+    topology.numPes = n;
+    topology.numVaults = n;
+    CounterRegistry reg;
+    reg.configure(topology, TraceConfig{});
+    return reg;
+}
+
 TEST(EnergyRegistryTest, CountsSnapshotsAndDeltas)
 {
-    EnergyRegistry reg;
-    reg.configure(4);
-    reg.add(EnergyEventKind::MacOp, 0, 10);
-    reg.add(EnergyEventKind::MacOp, 0, 5);
-    reg.add(EnergyEventKind::DramBit, 3, 256);
+    CounterRegistry reg = registryOf(4);
+    reg.addEnergy(EnergyEventKind::MacOp, 0, 10);
+    reg.addEnergy(EnergyEventKind::MacOp, 0, 5);
+    reg.addEnergy(EnergyEventKind::DramBit, 3, 256);
     // Out-of-range instances are dropped, never UB.
-    reg.add(EnergyEventKind::MacOp, 4, 1000);
+    reg.addEnergy(EnergyEventKind::MacOp, 4, 1000);
 
-    EnergySnapshot before = reg.snapshot();
-    EXPECT_EQ(before.sum()[EnergyEventKind::MacOp], 15u);
-    EXPECT_EQ(before.sum()[EnergyEventKind::DramBit], 256u);
+    CounterSnapshot before = reg.snapshot();
+    EXPECT_EQ(reg.energyCounts(before)[EnergyEventKind::MacOp], 15u);
+    EXPECT_EQ(reg.energyCounts(before)[EnergyEventKind::DramBit], 256u);
 
-    reg.add(EnergyEventKind::MacOp, 1, 7);
-    EnergySnapshot delta = reg.snapshot().delta(before);
-    EXPECT_EQ(delta.sum()[EnergyEventKind::MacOp], 7u);
-    EXPECT_EQ(delta.sum()[EnergyEventKind::DramBit], 0u);
-    EXPECT_TRUE(delta.sum().valid);
+    reg.addEnergy(EnergyEventKind::MacOp, 1, 7);
+    EnergyCounts delta = reg.energyCounts(reg.snapshot().delta(before));
+    EXPECT_EQ(delta[EnergyEventKind::MacOp], 7u);
+    EXPECT_EQ(delta[EnergyEventKind::DramBit], 0u);
+    EXPECT_TRUE(delta.valid);
 
     reg.reset();
-    EXPECT_EQ(reg.snapshot().sum()[EnergyEventKind::MacOp], 0u);
-    EXPECT_TRUE(reg.snapshot().sum().valid);
+    EnergyCounts zero = reg.energyCounts(reg.snapshot());
+    EXPECT_EQ(zero[EnergyEventKind::MacOp], 0u);
+    EXPECT_TRUE(zero.valid);
 }
 
 TEST(EnergyRegistryTest, SnapshotSumFiltersNodes)
 {
-    EnergyRegistry reg;
-    reg.configure(4);
-    reg.add(EnergyEventKind::NocHop, 0, 1);
-    reg.add(EnergyEventKind::NocHop, 1, 2);
-    reg.add(EnergyEventKind::NocHop, 2, 4);
+    CounterRegistry reg = registryOf(4);
+    reg.addEnergy(EnergyEventKind::NocHop, 0, 1);
+    reg.addEnergy(EnergyEventKind::NocHop, 1, 2);
+    reg.addEnergy(EnergyEventKind::NocHop, 2, 4);
 
-    std::vector<unsigned> nodes{1, 2};
-    EXPECT_EQ(reg.snapshot().sum(&nodes)[EnergyEventKind::NocHop], 6u);
-    EXPECT_EQ(reg.snapshot().sum()[EnergyEventKind::NocHop], 7u);
+    const CounterSnapshot snap = reg.snapshot();
+    EXPECT_EQ(reg.energyCounts(reg.onNodes(snap, {1, 2}))
+                  [EnergyEventKind::NocHop],
+              6u);
+    EXPECT_EQ(reg.energyCounts(snap)[EnergyEventKind::NocHop], 7u);
 
-    // An empty snapshot sums to an invalid record.
-    EXPECT_FALSE(EnergySnapshot{}.sum().valid);
+    // With energy off the counts are an invalid record, even while
+    // spatial accounting keeps the energy block sized.
+    TraceConfig config;
+    config.energy = false;
+    CounterRegistry off;
+    off.configure(TraceTopology{}, config);
+    off.addEnergy(EnergyEventKind::MacOp, 0, 3);
+    EXPECT_FALSE(off.energyCounts(off.snapshot()).valid);
+    EXPECT_EQ(off.spatialSnapshot(off.snapshot()).totalPeMacOps(), 3u);
 }
 
 /**
@@ -308,13 +330,12 @@ TEST(EnergyJsonTest, Fig12JsonCarriesBreakdown)
  */
 TEST(EnergyCrossValidationTest, ProbePublishesToItsRegistry)
 {
-    EnergyRegistry reg;
-    reg.configure(1);
+    CounterRegistry reg = registryOf(1);
     Probe{}.addEnergy(EnergyEventKind::MacOp, 0, 7);
     Probe probe;
-    probe.energy = &reg;
+    probe.counters = &reg;
     probe.addEnergy(EnergyEventKind::MacOp, 0, 5);
-    EXPECT_EQ(reg.snapshot().sum()[EnergyEventKind::MacOp],
+    EXPECT_EQ(reg.energyCounts(reg.snapshot())[EnergyEventKind::MacOp],
               NEUROCUBE_TRACE_ENABLED ? 5u : 0u);
 }
 

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/manifest.hh"
 #include "core/neurocube.hh"
 #include "core/recurrent.hh"
 #include "core/training.hh"
@@ -171,6 +172,25 @@ snapshotForward(const NeurocubeConfig &base, SimEngine engine,
     snap.metricsJson = run.metricsJson();
     snap.spatialJson = run.spatialJson();
     snap.energy = run.energyCounts();
+#if NEUROCUBE_TRACE_ENABLED
+    // Conservation: the counter table against the components' own
+    // statistics, which count independently of any trace session.
+    const std::string on = simEngineName(engine);
+    if (config.trace.enabled && config.trace.energy) {
+        uint64_t dram_bits = 0;
+        for (const LayerResult &l : run.layers)
+            dram_bits += l.dramBits;
+        EXPECT_TRUE(snap.energy.valid) << on;
+        EXPECT_EQ(snap.energy[EnergyEventKind::MacOp] * 2, run.totalOps())
+            << on;
+        EXPECT_EQ(snap.energy[EnergyEventKind::DramBit], dram_bits) << on;
+    }
+    if (config.trace.enabled && config.trace.spatial) {
+        EXPECT_EQ(cube.spatialSnapshot().totalLinkFlits(),
+                  cube.fabric().linkFlits())
+            << on;
+    }
+#endif
     return snap;
 }
 
@@ -237,6 +257,7 @@ TEST(EngineDiff, FuzzForwardLegacyVsEvent)
 {
     const unsigned seeds = fuzzSeedCount();
     for (unsigned seed = 1; seed <= seeds; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
         Rng rng(uint64_t(seed) * 0x517cc1b727220a95ull);
         NetworkDesc net = randomNet(rng);
         NeurocubeConfig config = randomConfig(rng, false);
@@ -378,6 +399,7 @@ TEST(EngineDiff, FuzzPlanCacheOnVsOff)
     // bit-identical with the cache on or off.
     const unsigned seeds = std::max(1u, fuzzSeedCount() / 4);
     for (unsigned seed = 1; seed <= seeds; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
         Rng rng(uint64_t(seed) * 0x9e3779b97f4a7c15ull);
         NetworkDesc net = randomNet(rng);
         NeurocubeConfig config = randomConfig(rng, false);
@@ -427,6 +449,7 @@ TEST(EngineDiff, FuzzForwardWithLiveSampledRecorder)
     const std::string tag = "engine_diff_sampled";
     const unsigned seeds = std::max(1u, fuzzSeedCount() / 4);
     for (unsigned seed = 1; seed <= seeds; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
         Rng rng(uint64_t(seed) * 0xd6e8feb86659fd93ull);
         NetworkDesc net = randomNet(rng);
         NeurocubeConfig config = randomConfig(rng, false);
@@ -497,6 +520,7 @@ TEST(EngineDiff, FuzzTraceOnVsOffCycleInvariance)
     const std::string tag = "engine_diff_trace_onoff";
     const unsigned seeds = std::max(1u, fuzzSeedCount() / 4);
     for (unsigned seed = 1; seed <= seeds; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
         Rng rng(uint64_t(seed) * 0x94d049bb133111ebull);
         NetworkDesc net = randomNet(rng);
         NeurocubeConfig traced = randomConfig(rng, false);

@@ -18,8 +18,9 @@
 #include <vector>
 
 #include "core/neurocube.hh"
-#include "trace/metrics.hh"
+#include "trace/counters.hh"
 #include "trace/phase_detector.hh"
+#include "trace/probe.hh"
 #include "trace/timeseries_exporter.hh"
 
 namespace neurocube
@@ -27,19 +28,38 @@ namespace neurocube
 namespace
 {
 
+/** A counter table of @p n routers, PEs and vaults, all sections on. */
+CounterRegistry
+registryOf(unsigned n)
+{
+    TraceTopology topology;
+    topology.numRouters = n;
+    topology.numPes = n;
+    topology.numVaults = n;
+    CounterRegistry registry;
+    registry.configure(topology, TraceConfig{});
+    return registry;
+}
+
 /** Shorthand for charging @p n cycles of one class to an instance. */
 void
-charge(MetricsRegistry &registry, TraceComponent component,
+charge(CounterRegistry &registry, TraceComponent component,
        unsigned instance, StallClass cls, uint64_t n)
 {
     for (uint64_t i = 0; i < n; ++i)
         registry.cycle(component, instance, cls);
 }
 
+/** Stall totals of the registry's whole table. */
+StallTotals
+totalsOf(const CounterRegistry &registry)
+{
+    return registry.stallTotals(registry.snapshot());
+}
+
 TEST(MetricsRegistry, CountsPerInstanceAndClass)
 {
-    MetricsRegistry registry;
-    registry.configure(2, 2, 2, 2);
+    CounterRegistry registry = registryOf(2);
 
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 10);
     charge(registry, TraceComponent::Pe, 0, StallClass::Idle, 5);
@@ -47,47 +67,71 @@ TEST(MetricsRegistry, CountsPerInstanceAndClass)
     charge(registry, TraceComponent::Vault, 1, StallClass::StallDram,
            7);
 
-    const auto &pes = registry.state().of(TraceComponent::Pe);
-    ASSERT_EQ(pes.size(), 2u);
-    EXPECT_EQ(pes[0][StallClass::Busy], 10u);
-    EXPECT_EQ(pes[0][StallClass::Idle], 5u);
-    EXPECT_EQ(pes[0].total(), 15u);
-    EXPECT_EQ(pes[1][StallClass::StallCache], 3u);
-    EXPECT_EQ(registry.state()
-                  .of(TraceComponent::Vault)[1][StallClass::StallDram],
+    const CounterSnapshot snap = registry.snapshot();
+    const StallBreakdown pe0 =
+        registry.stalls(snap, TraceComponent::Pe, 0);
+    EXPECT_EQ(pe0[StallClass::Busy], 10u);
+    EXPECT_EQ(pe0[StallClass::Idle], 5u);
+    EXPECT_EQ(pe0.total(), 15u);
+    EXPECT_EQ(registry.stalls(snap, TraceComponent::Pe,
+                              1)[StallClass::StallCache],
+              3u);
+    EXPECT_EQ(registry.stalls(snap, TraceComponent::Vault,
+                              1)[StallClass::StallDram],
               7u);
 
     registry.reset();
-    EXPECT_EQ(registry.state().of(TraceComponent::Pe)[0].total(), 0u);
-    // Sizing survives a reset.
-    EXPECT_EQ(registry.state().of(TraceComponent::Pe).size(), 2u);
+    EXPECT_EQ(totalsOf(registry)[size_t(TraceComponent::Pe)].total(),
+              0u);
+    // The layout survives a reset.
+    charge(registry, TraceComponent::Pe, 1, StallClass::Busy, 1);
+    EXPECT_EQ(registry.stalls(registry.snapshot(), TraceComponent::Pe,
+                              1)[StallClass::Busy],
+              1u);
 }
 
 TEST(MetricsRegistry, OutOfRangeInstanceIsDropped)
 {
-    MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    CounterRegistry registry = registryOf(1);
     registry.cycle(TraceComponent::Router, 99, StallClass::Busy);
-    EXPECT_EQ(registry.state().of(TraceComponent::Router)[0].total(),
-              0u);
+    for (uint64_t slot : registry.snapshot().slots)
+        EXPECT_EQ(slot, 0u);
 }
 
 TEST(MetricsRegistry, SnapshotDeltaIsolatesAnInterval)
 {
-    MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    CounterRegistry registry = registryOf(1);
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 4);
 
-    MetricsSnapshot before = registry.snapshot();
+    CounterSnapshot before = registry.snapshot();
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 6);
     charge(registry, TraceComponent::Pe, 0, StallClass::StallInject,
            2);
 
-    MetricsSnapshot delta = registry.snapshot().delta(before);
-    const auto &pe = delta.of(TraceComponent::Pe)[0];
+    CounterSnapshot delta = registry.snapshot().delta(before);
+    const StallBreakdown pe =
+        registry.stalls(delta, TraceComponent::Pe, 0);
     EXPECT_EQ(pe[StallClass::Busy], 6u);
     EXPECT_EQ(pe[StallClass::StallInject], 2u);
     EXPECT_EQ(pe.total(), 8u);
+}
+
+TEST(MetricsRegistry, DisabledSectionDropsItsCounts)
+{
+    // With metrics off the stall blocks are sized 0: cycles drop
+    // through the row bound check and the report stays invalid.
+    TraceTopology topology;
+    TraceConfig config;
+    config.metrics = false;
+    CounterRegistry registry;
+    registry.configure(topology, config);
+    registry.cycle(TraceComponent::Pe, 0, StallClass::Busy);
+    EXPECT_FALSE(registry.metricsOn());
+    EXPECT_FALSE(buildBottleneckReport(totalsOf(registry)).valid);
+    EXPECT_EQ(registry.stalls(registry.snapshot(), TraceComponent::Pe,
+                              0)
+                  .total(),
+              0u);
 }
 
 #if NEUROCUBE_TRACE_ENABLED
@@ -96,19 +140,19 @@ TEST(MetricsRegistry, ProbePublishesToItsRegistry)
     // An empty probe must be a safe no-op.
     Probe{}.cycle(TraceComponent::Pe, 0, StallClass::Busy);
 
-    MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    CounterRegistry registry = registryOf(1);
     Probe probe;
-    probe.metrics = &registry;
+    probe.counters = &registry;
     probe.cycle(TraceComponent::Pe, 0, StallClass::Busy);
     probe.cycles(TraceComponent::Vault, 0, StallClass::StallDram, 3);
     Probe{}.cycle(TraceComponent::Pe, 0, StallClass::Busy);
 
-    EXPECT_EQ(registry.state()
-                  .of(TraceComponent::Pe)[0][StallClass::Busy],
+    const CounterSnapshot snap = registry.snapshot();
+    EXPECT_EQ(registry.stalls(snap, TraceComponent::Pe,
+                              0)[StallClass::Busy],
               1u);
-    EXPECT_EQ(registry.state()
-                  .of(TraceComponent::Vault)[0][StallClass::StallDram],
+    EXPECT_EQ(registry.stalls(snap, TraceComponent::Vault,
+                              0)[StallClass::StallDram],
               3u);
 }
 #endif
@@ -125,25 +169,21 @@ fractionSum(const BottleneckReport &report)
 
 TEST(BottleneckReport, EmptyDeltaIsInvalid)
 {
-    MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
-    BottleneckReport report =
-        buildBottleneckReport(registry.snapshot());
+    CounterRegistry registry = registryOf(1);
+    BottleneckReport report = buildBottleneckReport(totalsOf(registry));
     EXPECT_FALSE(report.valid);
     EXPECT_EQ(report.countedTicks, 0u);
 }
 
 TEST(BottleneckReport, MacBoundDeltaLabelsMac)
 {
-    MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    CounterRegistry registry = registryOf(1);
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 80);
     charge(registry, TraceComponent::Pe, 0, StallClass::Idle, 20);
     charge(registry, TraceComponent::Router, 0, StallClass::Busy, 100);
     charge(registry, TraceComponent::Vault, 0, StallClass::Busy, 100);
 
-    BottleneckReport report =
-        buildBottleneckReport(registry.snapshot());
+    BottleneckReport report = buildBottleneckReport(totalsOf(registry));
     ASSERT_TRUE(report.valid);
     EXPECT_STREQ(report.label, "mac");
     EXPECT_NEAR(report.peBusy, 0.8, 1e-9);
@@ -153,8 +193,7 @@ TEST(BottleneckReport, MacBoundDeltaLabelsMac)
 
 TEST(BottleneckReport, NocBlockingOutranksInjectAndDram)
 {
-    MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    CounterRegistry registry = registryOf(1);
     // PE mostly starved, router heavily blocked, PNG can't inject,
     // vault stalled: head-of-line blocking explains the rest.
     charge(registry, TraceComponent::Pe, 0, StallClass::StallInject,
@@ -170,8 +209,7 @@ TEST(BottleneckReport, NocBlockingOutranksInjectAndDram)
            50);
     charge(registry, TraceComponent::Vault, 0, StallClass::Busy, 50);
 
-    BottleneckReport report =
-        buildBottleneckReport(registry.snapshot());
+    BottleneckReport report = buildBottleneckReport(totalsOf(registry));
     ASSERT_TRUE(report.valid);
     EXPECT_STREQ(report.label, "noc");
     EXPECT_NEAR(report.routerBlocked, 0.4, 1e-9);
@@ -180,8 +218,7 @@ TEST(BottleneckReport, NocBlockingOutranksInjectAndDram)
 
 TEST(BottleneckReport, DramBoundDeltaLabelsDram)
 {
-    MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    CounterRegistry registry = registryOf(1);
     charge(registry, TraceComponent::Pe, 0, StallClass::StallInject,
            80);
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 20);
@@ -193,8 +230,7 @@ TEST(BottleneckReport, DramBoundDeltaLabelsDram)
            70);
     charge(registry, TraceComponent::Vault, 0, StallClass::Busy, 30);
 
-    BottleneckReport report =
-        buildBottleneckReport(registry.snapshot());
+    BottleneckReport report = buildBottleneckReport(totalsOf(registry));
     ASSERT_TRUE(report.valid);
     EXPECT_STREQ(report.label, "dram");
     EXPECT_NEAR(report.dramPressure, 1.0, 1e-9);
@@ -203,8 +239,7 @@ TEST(BottleneckReport, DramBoundDeltaLabelsDram)
 
 TEST(BottleneckReport, NodeFilterAttributesPerLane)
 {
-    MetricsRegistry registry;
-    registry.configure(2, 2, 2, 2);
+    CounterRegistry registry = registryOf(2);
     // Node 0 is compute-bound, node 1 is NoC-bound.
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 100);
     charge(registry, TraceComponent::Pe, 1, StallClass::StallInject,
@@ -214,14 +249,16 @@ TEST(BottleneckReport, NodeFilterAttributesPerLane)
 
     const std::vector<unsigned> lane0{0};
     const std::vector<unsigned> lane1{1};
-    MetricsSnapshot delta = registry.snapshot();
+    CounterSnapshot delta = registry.snapshot();
 
-    BottleneckReport r0 = buildBottleneckReport(delta, &lane0);
+    BottleneckReport r0 = buildBottleneckReport(
+        registry.stallTotals(registry.onNodes(delta, lane0)));
     ASSERT_TRUE(r0.valid);
     EXPECT_STREQ(r0.label, "mac");
     EXPECT_EQ(r0.countedTicks, 100u);
 
-    BottleneckReport r1 = buildBottleneckReport(delta, &lane1);
+    BottleneckReport r1 = buildBottleneckReport(
+        registry.stallTotals(registry.onNodes(delta, lane1)));
     ASSERT_TRUE(r1.valid);
     EXPECT_STREQ(r1.label, "noc");
     EXPECT_EQ(r1.countedTicks, 200u);
@@ -340,6 +377,42 @@ TEST(PhaseDetector, ReinstatesSkippedWindowsAsQuiescent)
     EXPECT_EQ(segments[2].kind, PhaseKind::DramBound);
 }
 
+#if NEUROCUBE_TRACE_ENABLED
+TEST(PhaseDetector, SampledOutWindowsBridgeTheirSegment)
+{
+    // Every window is compute-bound, but at period 4 the recorder
+    // keeps the PE events of 1 window in 4; the exempt EngineSkip
+    // events still land in the other 3, which must not read as
+    // quiescent.
+    TraceConfig config;
+    config.enabled = true;
+    config.timeseriesCsvPath = "/dev/null";
+    config.windowTicks = 100;
+    config.samplePeriod = 4;
+    TraceSession session(config, smallTopology());
+    const Probe probe = session.probe();
+    for (Tick w = 0; w < 16; ++w) {
+        probe.tick(w * 100 + 10);
+        probe.event(TraceComponent::Pe, 0, TraceEventType::MacBusy, 16,
+                    160);
+        probe.event(TraceComponent::Sim, 0, TraceEventType::EngineSkip,
+                    0, 5);
+    }
+
+    auto segments = session.phases();
+    ASSERT_EQ(segments.size(), 1u);
+    EXPECT_EQ(segments[0].kind, PhaseKind::Compute);
+    EXPECT_EQ(segments[0].startTick, Tick(0));
+    // Window 12 is the last sampled one; the three after it have no
+    // sampled window to bridge to.
+    EXPECT_EQ(segments[0].endTick, Tick(1300));
+    EXPECT_EQ(segments[0].windows, 13u);
+    EXPECT_NE(phaseEnergyJson(segments, 100, 4).find(
+                  "\"sample_period\": 4"),
+              std::string::npos);
+}
+#endif
+
 TEST(PhaseDetector, EnergyRollupSumsWindowEnergy)
 {
     // Energy-bearing events in four windows: two compute windows that
@@ -380,7 +453,7 @@ TEST(PhaseDetector, EnergyRollupSumsWindowEnergy)
 
     // The JSON rollup carries each segment's joules and its mean power
     // over the segment's own duration.
-    const std::string json = phaseEnergyJson(segments, 100);
+    const std::string json = phaseEnergyJson(segments, 100, 1);
     const std::regex entry(
         "\"ticks\": ([0-9]+), \"windows\": [0-9]+, "
         "\"joules\": ([0-9.eE+-]+), \"avg_power_w\": ([0-9.eE+-]+)");
@@ -397,18 +470,6 @@ TEST(PhaseDetector, EnergyRollupSumsWindowEnergy)
                     1e-11 * std::abs(watts));
     }
     EXPECT_EQ(entries, segments.size());
-}
-
-TEST(PhaseDetector, ReportListsOneLinePerSegment)
-{
-    std::vector<PhaseSegment> segments = {
-        {0, 200, PhaseKind::Compute, 2, 0.0},
-        {200, 300, PhaseKind::DramBound, 1, 0.0},
-    };
-    std::string report = phaseReport(segments);
-    EXPECT_NE(report.find("compute"), std::string::npos);
-    EXPECT_NE(report.find("dram-bound"), std::string::npos);
-    EXPECT_EQ(std::count(report.begin(), report.end(), '\n'), 2);
 }
 
 #if NEUROCUBE_TRACE_ENABLED

@@ -1,6 +1,6 @@
 /**
  * @file
- * Spatial observability tests: the SpatialRegistry counter plumbing,
+ * Spatial observability tests: the spatial counter plumbing,
  * the conservation invariants tying the per-instance heatmap counters
  * to the aggregate statistics the rest of the stack already reports,
  * the observational-only guarantee (cycles identical with spatial
@@ -15,8 +15,8 @@
 
 #include "core/neurocube.hh"
 #include "nn/network.hh"
+#include "trace/counters.hh"
 #include "trace/report.hh"
-#include "trace/spatial.hh"
 
 namespace neurocube
 {
@@ -68,27 +68,43 @@ tracedConfig()
     return config;
 }
 
+/** A counter table of 4 nodes (vault i on node i), all sections on. */
+CounterRegistry
+fourNodeRegistry()
+{
+    TraceTopology topology;
+    topology.numRouters = 4;
+    topology.numPes = 4;
+    topology.numVaults = 4;
+    topology.vaultNode = {0, 1, 2, 3};
+    CounterRegistry reg;
+    reg.configure(topology, TraceConfig{});
+    return reg;
+}
+
 TEST(SpatialRegistryTest, CountsSnapshotsAndDeltas)
 {
-    SpatialRegistry reg;
-    reg.configure(4, 4, 4);
-    reg.configureLinks(2, {{0, 1}, {1, 0}});
-    reg.add(SpatialCounter::PeMac, 0, 10);
-    reg.add(SpatialCounter::PeMac, 0, 5);
-    reg.add(SpatialCounter::VaultByte, 3, 256);
-    reg.add(SpatialCounter::LinkFlit, 1, 7);
+    CounterRegistry reg = fourNodeRegistry();
+    reg.configureFabric(2, {{0, 1}, {1, 0}}, nullptr, nullptr);
+    // Per-PE MACs and per-vault bytes are views of the energy block.
+    reg.addEnergy(EnergyEventKind::MacOp, 0, 10);
+    reg.addEnergy(EnergyEventKind::MacOp, 0, 5);
+    reg.addEnergy(EnergyEventKind::DramBit, 3, 8 * 256);
+    reg.addSpatial(SpatialCounter::LinkFlit, 1, 7);
     // Out-of-range instances are dropped, never UB.
-    reg.add(SpatialCounter::PeMac, 4, 1000);
-    reg.add(SpatialCounter::LinkFlit, 2, 1000);
+    reg.addEnergy(EnergyEventKind::MacOp, 4, 1000);
+    reg.addSpatial(SpatialCounter::LinkFlit, 2, 1000);
 
-    SpatialSnapshot before = reg.snapshot();
-    EXPECT_EQ(before.totalPeMacOps(), 15u);
-    EXPECT_EQ(before.totalVaultBytes(), 256u);
-    EXPECT_EQ(before.totalLinkFlits(), 7u);
-    EXPECT_TRUE(before.valid());
+    CounterSnapshot before = reg.snapshot();
+    SpatialSnapshot whole = reg.spatialSnapshot(before);
+    EXPECT_EQ(whole.totalPeMacOps(), 15u);
+    EXPECT_EQ(whole.totalVaultBytes(), 256u);
+    EXPECT_EQ(whole.totalLinkFlits(), 7u);
+    EXPECT_TRUE(whole.valid());
 
-    reg.add(SpatialCounter::PeMac, 1, 8);
-    SpatialSnapshot delta = reg.snapshot().delta(before);
+    reg.addEnergy(EnergyEventKind::MacOp, 1, 8);
+    SpatialSnapshot delta =
+        reg.spatialSnapshot(reg.snapshot().delta(before));
     EXPECT_EQ(delta.totalPeMacOps(), 8u);
     EXPECT_EQ(delta.totalVaultBytes(), 0u);
 
@@ -97,34 +113,40 @@ TEST(SpatialRegistryTest, CountsSnapshotsAndDeltas)
 
 TEST(SpatialRegistryTest, FilterToNodesPartitionsSumBack)
 {
-    SpatialRegistry reg;
-    reg.configure(4, 4, 4, {0, 1, 2, 3});
-    // Intra-partition links only: {0,1} and {2,3}.
-    reg.configureLinks(2, {{0, 1}, {2, 3}});
+    CounterRegistry reg = fourNodeRegistry();
+    // Intra-partition links only: {0,1} and {2,3}. The node
+    // injection counters stay with the fabric; snapshots fold them in.
+    const std::vector<uint64_t> lateral{1, 2, 3, 4};
+    const std::vector<uint64_t> local{5, 6, 7, 8};
+    reg.configureFabric(2, {{0, 1}, {2, 3}}, &lateral, &local);
     for (unsigned i = 0; i < 4; ++i) {
-        reg.add(SpatialCounter::PeMac, i, 10 + i);
-        reg.add(SpatialCounter::VaultByte, i, 100 + i);
+        reg.addEnergy(EnergyEventKind::MacOp, i, 10 + i);
+        reg.addEnergy(EnergyEventKind::DramBit, i, 8 * (100 + i));
+        reg.addSpatial(SpatialCounter::VaultQueue, i, 1);
     }
-    reg.add(SpatialCounter::LinkFlit, 0, 5);
-    reg.add(SpatialCounter::LinkFlit, 1, 9);
+    reg.addSpatial(SpatialCounter::LinkFlit, 0, 5);
+    reg.addSpatial(SpatialCounter::LinkFlit, 1, 9);
 
-    SpatialSnapshot whole = reg.snapshot();
-    SpatialSnapshot lo = filterSnapshotToNodes(reg.topology(), whole,
-                                               {0, 1});
-    SpatialSnapshot hi = filterSnapshotToNodes(reg.topology(), whole,
-                                               {2, 3});
+    const CounterSnapshot snap = reg.snapshot();
+    SpatialSnapshot whole = reg.spatialSnapshot(snap);
+    SpatialSnapshot lo = reg.spatialSnapshot(reg.onNodes(snap, {0, 1}));
+    SpatialSnapshot hi = reg.spatialSnapshot(reg.onNodes(snap, {2, 3}));
     // Sizes are kept, entries outside the set are zeroed.
     ASSERT_EQ(lo.peMacOps.size(), whole.peMacOps.size());
     EXPECT_EQ(lo.totalPeMacOps(), 21u);
     EXPECT_EQ(hi.totalPeMacOps(), 25u);
     EXPECT_EQ(lo.totalLinkFlits(), 5u);
     EXPECT_EQ(hi.totalLinkFlits(), 9u);
+    EXPECT_EQ(lo.nodeLateral, (std::vector<uint64_t>{1, 2, 0, 0}));
+    EXPECT_EQ(hi.nodeLocal, (std::vector<uint64_t>{0, 0, 7, 8}));
 
     SpatialSnapshot sum = lo;
     sum += hi;
     EXPECT_EQ(sum.totalPeMacOps(), whole.totalPeMacOps());
     EXPECT_EQ(sum.totalVaultBytes(), whole.totalVaultBytes());
     EXPECT_EQ(sum.totalLinkFlits(), whole.totalLinkFlits());
+    EXPECT_EQ(sum.vaultQueueTicks, whole.vaultQueueTicks);
+    EXPECT_EQ(sum.nodeLateral, lateral);
 }
 
 #if NEUROCUBE_TRACE_ENABLED
@@ -153,16 +175,13 @@ TEST(SpatialConservationTest, CountersMatchAggregateStatistics)
     EXPECT_EQ(lateral, cube.fabric().lateralPackets());
     EXPECT_EQ(local, cube.fabric().localPackets());
 
-    // Per-vault bytes are the same traffic the energy counters price.
-    EnergyCounts counts = run.energyCounts();
-    ASSERT_TRUE(counts.valid);
-    EXPECT_EQ(snap.totalVaultBytes() * 8,
-              counts[EnergyEventKind::DramBit]);
-
-    // Per-PE MAC occupancy counts every MAC exactly once: the energy
-    // registry's MacOp count and the op accounting (2 ops per MAC)
-    // agree with it.
-    EXPECT_EQ(snap.totalPeMacOps(), counts[EnergyEventKind::MacOp]);
+    // Per-vault bytes and per-PE MACs are views of the energy
+    // counters; both agree with the components' own statistics (the
+    // channels' bit counts and the op accounting, 2 ops per MAC).
+    uint64_t dram_bits = 0;
+    for (const LayerResult &l : run.layers)
+        dram_bits += l.dramBits;
+    EXPECT_EQ(snap.totalVaultBytes() * 8, dram_bits);
     EXPECT_EQ(snap.totalPeMacOps() * 2, run.totalOps());
 
     // The per-layer snapshots sum to the whole-run snapshot.
@@ -181,13 +200,13 @@ TEST(SpatialConservationTest, CountersMatchAggregateStatistics)
  */
 TEST(SpatialConservationTest, ProbePublishesToItsRegistry)
 {
-    SpatialRegistry reg;
-    reg.configure(1, 1, 1);
-    Probe{}.addSpatial(SpatialCounter::PeMac, 0, 7);
+    CounterRegistry reg = fourNodeRegistry();
+    reg.configureFabric(2, {{0, 1}}, nullptr, nullptr);
+    Probe{}.addSpatial(SpatialCounter::LinkFlit, 0, 7);
     Probe probe;
-    probe.spatial = &reg;
-    probe.addSpatial(SpatialCounter::PeMac, 0, 5);
-    EXPECT_EQ(reg.snapshot().totalPeMacOps(),
+    probe.counters = &reg;
+    probe.addSpatial(SpatialCounter::LinkFlit, 0, 5);
+    EXPECT_EQ(reg.spatialSnapshot(reg.snapshot()).totalLinkFlits(),
               NEUROCUBE_TRACE_ENABLED ? 5u : 0u);
 }
 
@@ -212,7 +231,7 @@ TEST(SpatialConservationTest, ObservationalOnly)
     Neurocube cube(off);
     cube.loadNetwork(net, NetworkData::randomized(net, 3));
     cube.setInput(netInput(net, 4));
-    EXPECT_EQ(cube.probe().spatial, nullptr);
+    EXPECT_EQ(cube.probe().counters, nullptr);
     EXPECT_EQ(cube.runForward().totalCycles(), cycles(true));
     EXPECT_FALSE(cube.spatialSnapshot().valid());
 }
