@@ -42,10 +42,10 @@ quickMode()
 }
 
 /**
- * Simulation-engine override from NEUROCUBE_ENGINE=legacy|event|
- * threaded. Lets scripts/bench.sh time the same workload on both
- * cycle loops (EXPERIMENTS.md speedup table); cycle counts and
- * energy are engine-invariant, so the JSON gates are unaffected.
+ * Simulation-engine override from NEUROCUBE_ENGINE=legacy|event.
+ * Lets scripts/bench.sh time the same workload on both cycle loops
+ * (EXPERIMENTS.md speedup table); cycle counts and energy are
+ * engine-invariant, so the JSON gates are unaffected.
  */
 inline SimEngine
 engineFromEnv(SimEngine fallback)
@@ -57,8 +57,6 @@ engineFromEnv(SimEngine fallback)
         return SimEngine::Legacy;
     if (std::strcmp(env, "event") == 0)
         return SimEngine::Event;
-    if (std::strcmp(env, "threaded") == 0)
-        return SimEngine::ThreadedLanes;
     std::fprintf(stderr,
                  "warning: unknown NEUROCUBE_ENGINE '%s' ignored\n",
                  env);
@@ -194,8 +192,7 @@ runForward(const NeurocubeConfig &config, const NetworkDesc &net,
     RunResult run = cube.runForward();
     run.wallMs = timer.elapsedMs();
     if (manifest != nullptr) {
-        *manifest = buildRunManifest(cfg, cube.activeEngine(), "",
-                                     quickMode());
+        *manifest = buildRunManifest(cfg, "", quickMode());
     }
     if (phases_json != nullptr) {
         std::vector<PhaseSegment> phases = cube.phases();

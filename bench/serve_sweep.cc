@@ -150,8 +150,7 @@ runPoint(size_t index, Tick batch4, const NetworkDesc &net,
     ServingResult result = sim.run(arrivals, input);
     return SweepPoint{
         factor, buildServingReport(result),
-        buildRunManifest(machine, cube.activeEngine(), pointName(factor),
-                         quickMode()),
+        buildRunManifest(machine, pointName(factor), quickMode()),
         timer.elapsedMs(),
         result.spatial.valid()
             ? spatialSnapshotJson(result.spatialTopology, result.spatial,

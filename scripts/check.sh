@@ -7,10 +7,11 @@
 #              reference TraceRecorder::push, and those below the core
 #              must not reference the counter table (CounterRegistry)
 #              either
-#   tsan     - thread sanitizer over the ThreadedLanes engine workers
-#              and two traced machines on two threads (runs
-#              test_trace, test_metrics, test_engine_threads and the
-#              quick engine fuzz; see CMakePresets)
+#   tsan     - thread sanitizer over the lane workers of threaded
+#              batch passes and two traced machines on two threads
+#              (runs test_trace, test_metrics, test_engine_threads,
+#              test_batch, test_serving and the quick engine fuzz; see
+#              CMakePresets)
 #
 # The presets exclude the "long" ctest label (the 100-seed engine
 # fuzz); run `ctest` directly in a build dir for the full profile.

@@ -25,10 +25,10 @@ namespace neurocube
 {
 
 /**
- * Which cycle-loop implementation advances the machine. All three
- * produce bit-identical simulated state, cycle counts, stall
- * attribution and energy counts (tests/test_engine_diff.cc fuzzes
- * the equivalence); they differ only in wall-clock cost.
+ * Which cycle-loop implementation advances the machine. Both produce
+ * bit-identical simulated state, cycle counts, stall attribution and
+ * energy counts (tests/test_engine_diff.cc fuzzes the equivalence);
+ * they differ only in wall-clock cost.
  */
 enum class SimEngine
 {
@@ -37,29 +37,25 @@ enum class SimEngine
     /**
      * Wake-list scheduler: components report their next interesting
      * cycle, quiescent components are skipped and their idle time
-     * accounted in bulk (see DESIGN.md "Event-driven scheduler").
+     * accounted in bulk (see DESIGN.md "Event-driven scheduler"). A
+     * batch pass with more than one active lane runs one lane-slice
+     * scheduler per worker thread (lanes are bit-exact isolated by
+     * construction) unless the machine's trace-event recorder is
+     * live: the recorder ring has one producer, so such a pass runs
+     * on one whole-machine scheduler instead.
      */
     Event,
-    /**
-     * Event scheduler plus one worker thread per active batch lane
-     * (lanes are bit-exact isolated by construction, so per-lane
-     * schedulers advance concurrently with a barrier at pass end).
-     * Behaves exactly like Event outside runForwardBatch.
-     */
-    ThreadedLanes,
 };
 
 /** Structural + policy configuration of one Neurocube instance. */
 struct NeurocubeConfig
 {
     /**
-     * Cycle-loop implementation. Every engine works with tracing:
-     * the event loop stamps executed ticks and aggregates skipped
-     * windows into EngineSkip events, producing the same cycle,
-     * stall, and energy accounting as a traced legacy run (fuzzed in
-     * tests/test_engine_diff.cc). ThreadedLanes demotes to Event
-     * while the machine's own trace-event recorder (a session with
-     * sinks) is live — the recorder ring is single-threaded.
+     * Cycle-loop implementation. Both engines work with tracing: the
+     * event loop stamps executed ticks and aggregates skipped windows
+     * into EngineSkip events, producing the same cycle, stall, and
+     * energy accounting as a traced legacy run (fuzzed in
+     * tests/test_engine_diff.cc).
      */
     SimEngine engine = SimEngine::Event;
 

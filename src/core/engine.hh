@@ -1,7 +1,7 @@
 /**
  * @file
  * Wake-list pass scheduler: the event-driven execution engine behind
- * SimEngine::Event and SimEngine::ThreadedLanes.
+ * SimEngine::Event.
  *
  * Every engine runs a pass through one loop shell, Neurocube::passLoop
  * in core/neurocube.cc, over completion groups (the PNGs, channels,
@@ -33,11 +33,14 @@
  *  - executed ticks run in the legacy phase order (PNGs, channels,
  *    fabric, PEs; ascending index within a phase).
  *
- * One PassScheduler drives either the whole machine (Event: the shell
- * calls step(t), then jumps to minWake()) or one batch lane's slice of
- * it (ThreadedLanes: each worker thread runs the same shell on its
- * lane's scheduler over a NocFabric::LaneView). tests/test_engine_diff.cc
- * fuzzes both against the Legacy body.
+ * One PassScheduler drives either the whole machine (the shell calls
+ * step(t), then jumps to minWake()) or one batch lane's slice of it.
+ * A batch pass with more than one active lane and no live trace-event
+ * recorder runs one lane scheduler per worker thread, each thread
+ * running the same shell over a NocFabric::LaneView; with a live
+ * recorder (one producer) or a single group it runs the whole-machine
+ * scheduler. tests/test_engine_diff.cc fuzzes both against the Legacy
+ * body.
  */
 
 #ifndef NEUROCUBE_CORE_ENGINE_HH

@@ -13,8 +13,6 @@ simEngineName(SimEngine engine)
         return "legacy";
     case SimEngine::Event:
         return "event";
-    case SimEngine::ThreadedLanes:
-        return "threaded_lanes";
     }
     return "unknown";
 }
@@ -137,13 +135,13 @@ configFingerprint(const NeurocubeConfig &config)
 }
 
 RunManifest
-buildRunManifest(const NeurocubeConfig &config, SimEngine active,
-                 const std::string &name, bool quick)
+buildRunManifest(const NeurocubeConfig &config, const std::string &name,
+                 bool quick)
 {
     RunManifest m;
     m.name = name;
     m.gitDescribe = buildGitDescribe();
-    m.engine = simEngineName(active);
+    m.engine = simEngineName(config.engine);
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(

@@ -55,8 +55,7 @@ struct RunManifest
     std::string name;
     /** Build identity (buildGitDescribe()). */
     std::string gitDescribe;
-    /** Engine that executed the run (the *active* engine, after any
-     *  tracing demotion — simEngineName(cube.activeEngine())). */
+    /** Engine that executed the run (simEngineName(config.engine)). */
     std::string engine;
     /** configFingerprint as 16 hex digits. */
     std::string configHash;
@@ -66,7 +65,6 @@ struct RunManifest
 
 /** Assemble the identity block for one run. */
 RunManifest buildRunManifest(const NeurocubeConfig &config,
-                             SimEngine active,
                              const std::string &name,
                              bool quick = false);
 

@@ -201,19 +201,6 @@ Neurocube::setInput(const Tensor &input)
     input_ = input;
 }
 
-SimEngine
-Neurocube::activeEngine() const
-{
-    // The recorder ring has one producer; lane workers would race on
-    // it. The single-threaded event loop emits the same stream
-    // (skipped ticks are exactly the ticks no component records at),
-    // so tracing costs the thread fan-out only.
-    if (probe_.recorder != nullptr
-        && config_.engine == SimEngine::ThreadedLanes)
-        return SimEngine::Event;
-    return config_.engine;
-}
-
 std::vector<PhaseSegment>
 Neurocube::phases()
 {
@@ -398,11 +385,14 @@ Neurocube::runPass(const std::vector<CompletionGroup> &groups,
         return frame.start;
     }
 
-    // ThreadedLanes runs one lane-slice scheduler per worker thread;
-    // with a single group it is Event.
-    const SimEngine engine = activeEngine();
+    // The event engine runs a multi-lane pass as one lane-slice
+    // scheduler per worker thread. A live recorder keeps it on one
+    // whole-machine scheduler: the recorder ring has one producer,
+    // and the single-threaded loop emits the same stream (skipped
+    // ticks are exactly the ticks no component records at).
+    const bool legacy = config_.engine == SimEngine::Legacy;
     const bool threaded =
-        engine == SimEngine::ThreadedLanes && groups.size() > 1;
+        !legacy && groups.size() > 1 && probe_.recorder == nullptr;
     std::vector<std::unique_ptr<PassScheduler>> scheds;
     Tick final = frame.start;
     if (threaded) {
@@ -434,7 +424,7 @@ Neurocube::runPass(const std::vector<CompletionGroup> &groups,
         for (Tick stamp : done)
             final = std::max(final, stamp);
     } else {
-        if (engine != SimEngine::Legacy) {
+        if (!legacy) {
             scheds.push_back(std::make_unique<PassScheduler>(
                 groupSlice(nullptr), frame.start));
         }
@@ -442,7 +432,7 @@ Neurocube::runPass(const std::vector<CompletionGroup> &groups,
                          groups, done, frame);
     }
 
-    // The wake-list engines bulk-account every component up to the
+    // The event engine bulk-accounts every component up to the
     // pass's global end, as Legacy keeps no-op-ticking finished
     // components until then. A single pass stamps the catch-up at
     // that end, a batch pass at its last executed tick.

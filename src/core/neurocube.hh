@@ -63,10 +63,12 @@ class Neurocube
     /**
      * Execute the loaded network for several independent inputs
      * concurrently, one per batch lane (config().batch.lanes vault
-     * groups). Every lane runs the same layer/pass sequence inside
-     * one shared cycle loop; completion is detected per lane, so each
-     * lane's LayerResult carries its own cycle count while the
-     * aggregate reflects the slowest lane. Outputs are gathered per
+     * groups). Every lane runs the same layer/pass sequence in
+     * lockstep, pass by pass; on the event engine the active lanes of
+     * a pass advance on worker threads (in one shared loop while a
+     * trace-event recorder is live). Completion is detected per lane,
+     * so each lane's LayerResult carries its own cycle count while
+     * the aggregate reflects the slowest lane. Outputs are gathered per
      * lane and are bit-exact with a sequential runForward of the same
      * input.
      *
@@ -179,14 +181,6 @@ class Neurocube
         return total;
     }
 
-    /**
-     * The engine the next pass will run on. Usually config().engine;
-     * while this machine's trace-event recorder is live, ThreadedLanes
-     * demotes to Event (the recorder ring belongs to one thread, lane
-     * workers would race on it).
-     */
-    SimEngine activeEngine() const;
-
   private:
     /**
      * A completion group: the PNGs, channels, PEs and mesh nodes that
@@ -234,8 +228,11 @@ class Neurocube
                      const std::vector<Tensor *> &outputs, bool batch);
     /**
      * Configure pass @p pass on every group and run it to completion
-     * on the active engine. Fills done[g] with group g's completion
-     * tick and returns the pass's start tick.
+     * on the configured engine: Legacy ticks everything; Event steps
+     * one lane-slice scheduler per worker thread when more than one
+     * group is active and no recorder is live, otherwise one
+     * whole-machine scheduler. Fills done[g] with group g's
+     * completion tick and returns the pass's start tick.
      */
     Tick runPass(const std::vector<CompletionGroup> &groups,
                  const std::vector<CompiledLayer> &compiled, size_t pass,

@@ -55,13 +55,12 @@ MemoryChannel::enqueue(const MemRequest &req)
     stamped.bank = bankOfRow(stamped.row);
     if (req.write) {
         writeQueue_.push_back(stamped);
-        ++bufferedWrites_[req.addr];
+        bufferedWrites_.add(req.addr);
         probe_.event(TraceComponent::Vault, traceId_,
                      TraceEventType::DramQueueDepth, 1,
                      writeQueue_.size());
     } else {
-        if (!bufferedWrites_.empty()
-            && bufferedWrites_.count(req.addr)) {
+        if (bufferedWrites_.contains(req.addr)) {
             // The read depends on a buffered write: drain the write
             // buffer before any further reads are serviced.
             hazardDrain_ = true;
@@ -165,9 +164,7 @@ MemoryChannel::serveWord(Tick now, Ring<MemRequest> &queue,
             now >= req.enqueueTick ? now - req.enqueueTick : 0);
         if (is_write) {
             store_.write(req.addr, req.data);
-            auto it = bufferedWrites_.find(req.addr);
-            if (it != bufferedWrites_.end() && --it->second == 0)
-                bufferedWrites_.erase(it);
+            bufferedWrites_.remove(req.addr);
             statWrites_ += 1;
         } else {
             responses_.push_back({req.addr, store_.read(req.addr),

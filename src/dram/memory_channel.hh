@@ -23,8 +23,8 @@
 #ifndef NEUROCUBE_DRAM_MEMORY_CHANNEL_HH
 #define NEUROCUBE_DRAM_MEMORY_CHANNEL_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -235,6 +235,89 @@ class MemoryChannel
     /** Requests inspected for out-of-order row hits. */
     static constexpr size_t reorderWindow = 48;
 
+    /**
+     * Reference counts of buffered write addresses (the RAW guard).
+     * The write buffer holds at most writeBufferCapacity writes, so a
+     * fixed open-addressed table of twice as many cells never fills
+     * and never allocates.
+     */
+    class WriteGuard
+    {
+      public:
+        /** Count one more buffered write to @p addr. */
+        void
+        add(Addr addr)
+        {
+            size_t i = home(addr);
+            while (cells_[i].count != 0 && cells_[i].addr != addr)
+                i = (i + 1) & mask;
+            cells_[i].addr = addr;
+            if (cells_[i].count++ == 0)
+                ++live_;
+        }
+
+        /** Count one buffered write to @p addr served. */
+        void
+        remove(Addr addr)
+        {
+            size_t i = home(addr);
+            while (cells_[i].count != 0 && cells_[i].addr != addr)
+                i = (i + 1) & mask;
+            if (cells_[i].count == 0 || --cells_[i].count != 0)
+                return;
+            --live_;
+            // Backward-shift deletion keeps probe chains intact.
+            for (size_t j = (i + 1) & mask; cells_[j].count != 0;
+                 j = (j + 1) & mask) {
+                const size_t ideal = home(cells_[j].addr);
+                if (j > i ? (ideal <= i || ideal > j)
+                          : (ideal <= i && ideal > j)) {
+                    cells_[i] = cells_[j];
+                    cells_[j].count = 0;
+                    i = j;
+                }
+            }
+        }
+
+        /** True while a write to @p addr is buffered. */
+        bool
+        contains(Addr addr) const
+        {
+            if (live_ == 0)
+                return false;
+            for (size_t i = home(addr); cells_[i].count != 0;
+                 i = (i + 1) & mask) {
+                if (cells_[i].addr == addr)
+                    return true;
+            }
+            return false;
+        }
+
+      private:
+        /** Empty cell: count == 0. */
+        struct Cell
+        {
+            Addr addr = 0;
+            unsigned count = 0;
+        };
+
+        static constexpr size_t numCells = 2 * writeBufferCapacity;
+        static constexpr size_t mask = numCells - 1;
+        static_assert((numCells & mask) == 0, "cells must be 2^k");
+
+        /** Fibonacci hash of an element address onto the cells. */
+        static size_t
+        home(Addr addr)
+        {
+            return size_t((uint64_t(addr) * 0x9e3779b97f4a7c15ull)
+                          >> 32) & mask;
+        }
+
+        std::array<Cell, numCells> cells_{};
+        /** Addresses with a nonzero count. */
+        unsigned live_ = 0;
+    };
+
     DramParams params_;
     BackingStore store_;
     /** Vault/channel index published with trace events. */
@@ -250,8 +333,8 @@ class MemoryChannel
      */
     Ring<MemRequest> queue_;
     Ring<MemRequest> writeQueue_;
-    /** Reference counts of buffered write addresses (RAW guard). */
-    std::unordered_map<Addr, unsigned> bufferedWrites_;
+    /** Buffered write addresses (RAW guard). */
+    WriteGuard bufferedWrites_;
     /** Currently draining the write buffer. */
     bool drainWrites_ = false;
     /** A queued read depends on a buffered write: drain fully. */

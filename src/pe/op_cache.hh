@@ -15,6 +15,7 @@
 #define NEUROCUBE_PE_OP_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -88,7 +89,7 @@ class OpCache
                          TraceEventType::CacheOverflow, packet.opId,
                          bank.occupancy);
         }
-        bank.insert(key(group, packet.opId), packet);
+        bank.insert(key(group, packet.opId), packet, runs_);
         ++totalEntries_;
         if (totalEntries_ > statPeakEntries_.count())
             statPeakEntries_.set(double(totalEntries_));
@@ -116,7 +117,7 @@ class OpCache
     {
         SubBank &bank = banks_[subBankOf(op_id)];
         unsigned scanned = bank.occupancy;
-        totalEntries_ -= bank.extract(key(group, op_id), out);
+        totalEntries_ -= bank.extract(key(group, op_id), out, runs_);
         return scanned;
     }
 
@@ -139,6 +140,7 @@ class OpCache
     {
         for (auto &bank : banks_)
             bank.clear();
+        runs_.reset();
         totalEntries_ = 0;
     }
 
@@ -153,28 +155,103 @@ class OpCache
         return (uint64_t(group) << 32) | op_id;
     }
 
+    /** Packets per run: one key's packets fill runs of this size. */
+    static constexpr unsigned runPackets = 8;
+    /** Runs carved from one chunk allocation. */
+    static constexpr unsigned runsPerChunk = 256;
+
     /**
-     * One sub-bank: an open-addressing key index over pooled
-     * per-key packet buckets. Packets for the same (group, opId)
-     * append to one contiguous bucket, so extraction order matches
-     * insertion order exactly and the full-bucket copy on
-     * extraction is a linear scan. Emptied buckets return to a free
-     * list with their capacity intact, so steady-state inserts and
-     * extractions never allocate — the per-key hash-node and vector
-     * churn this replaces dominated the MAC-bound profile.
+     * A fixed run of one key's packets, linked to the key's next.
+     * Construction leaves it uninitialized, so a chunk's memory is
+     * only touched as its runs are handed out.
+     */
+    struct Run
+    {
+        Run() {}
+
+        Run *next;
+        unsigned count;
+        union
+        {
+            Packet packets[runPackets];
+        };
+    };
+
+    /**
+     * Run storage shared by the cache's sub-banks. Runs are carved
+     * from chunks that are never reallocated or freed while the cache
+     * lives, so a run pointer stays valid and steady-state inserts
+     * and extractions never allocate: extracted runs return to a free
+     * list, and clear() makes every carved run free again at once.
+     * Lane worker threads allocate from their own malloc arenas, so
+     * storage that grew per key would spread resident memory across
+     * them.
+     */
+    class RunStore
+    {
+      public:
+        /** A run with count 0, no successor. */
+        Run *
+        take()
+        {
+            Run *run = free_;
+            if (run != nullptr) {
+                free_ = run->next;
+            } else {
+                if (carved_ == chunks_.size() * runsPerChunk) {
+                    chunks_.push_back(
+                        std::make_unique_for_overwrite<Run[]>(
+                            runsPerChunk));
+                }
+                run = &chunks_[carved_ / runsPerChunk]
+                              [carved_ % runsPerChunk];
+                ++carved_;
+            }
+            run->next = nullptr;
+            run->count = 0;
+            return run;
+        }
+
+        /** Return the linked runs @p head .. @p tail to the store. */
+        void
+        give(Run *head, Run *tail)
+        {
+            tail->next = free_;
+            free_ = head;
+        }
+
+        /** Every carved run is free again (the chunks stay). */
+        void
+        reset()
+        {
+            free_ = nullptr;
+            carved_ = 0;
+        }
+
+      private:
+        std::vector<std::unique_ptr<Run[]>> chunks_;
+        /** Runs handed out from the chunks since the last reset. */
+        size_t carved_ = 0;
+        Run *free_ = nullptr;
+    };
+
+    /**
+     * One sub-bank: an open-addressing key index over per-key run
+     * lists. Packets for the same (group, opId) append to the key's
+     * last run, so extraction order matches insertion order exactly
+     * and the copy on extraction is a linear scan per run.
      */
     struct SubBank
     {
-        /** One key cell: bucket < 0 marks the cell empty. */
+        /** One key cell: head == nullptr marks the cell empty. */
         struct Cell
         {
             uint64_t key;
-            int32_t bucket;
+            Run *head;
+            Run *tail;
         };
 
         std::vector<Cell> cells_;
-        std::vector<std::vector<Packet>> buckets_;
-        std::vector<int32_t> freeBuckets_;
         size_t cellCount_ = 0;
         unsigned occupancy = 0;
 
@@ -195,13 +272,13 @@ class OpCache
         {
             std::vector<Cell> old = std::move(cells_);
             size_t cap = old.empty() ? 32 : old.size() * 2;
-            cells_.assign(cap, Cell{0, -1});
+            cells_.assign(cap, Cell{0, nullptr, nullptr});
             for (const Cell &c : old) {
-                if (c.bucket < 0)
+                if (c.head == nullptr)
                     continue;
                 size_t mask = cells_.size() - 1;
                 size_t i = hashKey(c.key) & mask;
-                while (cells_[i].bucket >= 0)
+                while (cells_[i].head != nullptr)
                     i = (i + 1) & mask;
                 cells_[i] = c;
             }
@@ -215,7 +292,7 @@ class OpCache
                 return nullptr;
             size_t mask = cells_.size() - 1;
             size_t i = hashKey(k) & mask;
-            while (cells_[i].bucket >= 0) {
+            while (cells_[i].head != nullptr) {
                 if (cells_[i].key == k)
                     return &cells_[i];
                 i = (i + 1) & mask;
@@ -224,47 +301,47 @@ class OpCache
         }
 
         void
-        insert(uint64_t k, const Packet &packet)
+        insert(uint64_t k, const Packet &packet, RunStore &store)
         {
             if (cells_.empty() || cellCount_ * 2 >= cells_.size())
                 grow();
             size_t mask = cells_.size() - 1;
             size_t i = hashKey(k) & mask;
-            while (cells_[i].bucket >= 0 && cells_[i].key != k)
+            while (cells_[i].head != nullptr && cells_[i].key != k)
                 i = (i + 1) & mask;
             Cell &c = cells_[i];
-            if (c.bucket < 0) {
-                if (!freeBuckets_.empty()) {
-                    c.bucket = freeBuckets_.back();
-                    freeBuckets_.pop_back();
-                } else {
-                    c.bucket = int32_t(buckets_.size());
-                    buckets_.emplace_back();
-                }
+            if (c.head == nullptr) {
                 c.key = k;
+                c.head = c.tail = store.take();
                 ++cellCount_;
+            } else if (c.tail->count == runPackets) {
+                c.tail->next = store.take();
+                c.tail = c.tail->next;
             }
-            buckets_[c.bucket].push_back(packet);
+            c.tail->packets[c.tail->count++] = packet;
             ++occupancy;
         }
 
         /**
-         * Remove the bucket for @p k, appending its packets to
+         * Remove the run list for @p k, appending its packets to
          * @p out in insertion order.
          *
          * @return number of packets extracted
          */
         unsigned
-        extract(uint64_t k, std::vector<Packet> &out)
+        extract(uint64_t k, std::vector<Packet> &out, RunStore &store)
         {
             Cell *c = find(k);
             if (c == nullptr)
                 return 0;
-            std::vector<Packet> &bucket = buckets_[c->bucket];
-            out.insert(out.end(), bucket.begin(), bucket.end());
-            unsigned n = unsigned(bucket.size());
-            bucket.clear();
-            freeBuckets_.push_back(c->bucket);
+            unsigned n = 0;
+            for (const Run *run = c->head; run != nullptr;
+                 run = run->next) {
+                out.insert(out.end(), run->packets,
+                           run->packets + run->count);
+                n += run->count;
+            }
+            store.give(c->head, c->tail);
             occupancy -= n;
             erase(size_t(c - cells_.data()));
             return n;
@@ -278,7 +355,7 @@ class OpCache
             size_t j = i;
             while (true) {
                 j = (j + 1) & mask;
-                if (cells_[j].bucket < 0)
+                if (cells_[j].head == nullptr)
                     break;
                 size_t ideal = hashKey(cells_[j].key) & mask;
                 bool movable = (j > i) ? (ideal <= i || ideal > j)
@@ -288,21 +365,17 @@ class OpCache
                     i = j;
                 }
             }
-            cells_[i].bucket = -1;
+            cells_[i].head = nullptr;
             --cellCount_;
         }
 
+        /** Drop every key; the caller resets the run store. */
         void
         clear()
         {
             if (cellCount_ != 0)
-                cells_.assign(cells_.size(), Cell{0, -1});
+                cells_.assign(cells_.size(), Cell{0, nullptr, nullptr});
             cellCount_ = 0;
-            freeBuckets_.clear();
-            for (size_t b = 0; b < buckets_.size(); ++b) {
-                buckets_[b].clear();
-                freeBuckets_.push_back(int32_t(b));
-            }
             occupancy = 0;
         }
     };
@@ -312,6 +385,7 @@ class OpCache
     uint16_t traceId_;
     Probe probe_;
     std::vector<SubBank> banks_;
+    RunStore runs_;
     unsigned totalEntries_ = 0;
 
     StatGroup statGroup_;

@@ -51,8 +51,7 @@ struct ServingConfig
      * When set, the run writes one JSON object per offered request
      * (the RequestRecord span: enqueue/admit/dispatch/complete
      * timestamps) to this path at the end of run(). Joinable with
-     * the SLO report by request id; readRequestSpansJsonl round-
-     * trips the file (serving/spans.hh).
+     * the SLO report by request id (format: serving/spans.hh).
      */
     std::string spansJsonlPath;
 };

@@ -1,9 +1,7 @@
 #include "serving/spans.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <istream>
 #include <ostream>
 
 namespace neurocube
@@ -38,56 +36,6 @@ writeRequestSpansJsonl(const std::string &path,
     }
     writeRequestSpans(out, result);
     return out.good();
-}
-
-namespace
-{
-
-/** Value of `"key":` in @p line, or @p fallback when absent. */
-uint64_t
-numberField(const std::string &line, const char *key,
-            uint64_t fallback = 0)
-{
-    const std::string needle = "\"" + std::string(key) + "\":";
-    const size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return fallback;
-    return std::strtoull(line.c_str() + pos + needle.size(), nullptr,
-                         10);
-}
-
-} // namespace
-
-std::vector<RequestRecord>
-readRequestSpans(std::istream &is)
-{
-    std::vector<RequestRecord> records;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        RequestRecord r;
-        r.id = numberField(line, "id");
-        r.arrival = numberField(line, "arrival");
-        r.admit = numberField(line, "admit");
-        r.dispatch = numberField(line, "dispatch");
-        r.completion = numberField(line, "completion");
-        r.batch = numberField(line, "batch");
-        r.lanes = unsigned(numberField(line, "lanes"));
-        r.dropped =
-            line.find("\"dropped\":true") != std::string::npos;
-        records.push_back(r);
-    }
-    return records;
-}
-
-std::vector<RequestRecord>
-readRequestSpansJsonl(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in.is_open())
-        return {};
-    return readRequestSpans(in);
 }
 
 } // namespace neurocube

@@ -7,9 +7,9 @@
  * complete absolute ticks plus the derived queue/service/latency
  * ticks), machine-joinable with the SLO report and the Chrome
  * "requests" track by request id. JSONL so sweep tooling can stream
- * and concatenate runs without a JSON parser; readRequestSpansJsonl
- * round-trips the format (tests gate write -> read == identity and
- * that percentiles recomputed from spans match the ServingReport).
+ * and concatenate runs without a JSON parser. tests/test_serving.cc
+ * parses the format back (write -> read == identity, and percentiles
+ * recomputed from spans match the ServingReport).
  */
 
 #ifndef NEUROCUBE_SERVING_SPANS_HH
@@ -17,7 +17,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "serving/server.hh"
 
@@ -36,17 +35,6 @@ void writeRequestSpans(std::ostream &os, const ServingResult &result);
  */
 bool writeRequestSpansJsonl(const std::string &path,
                             const ServingResult &result);
-
-/**
- * Parse a spans stream written by writeRequestSpans. Unknown keys
- * are ignored; the derived fields (latency/queue/service ticks) are
- * not read back, they re-derive from the timestamps.
- */
-std::vector<RequestRecord> readRequestSpans(std::istream &is);
-
-/** Parse a spans file; empty vector when the file cannot be read. */
-std::vector<RequestRecord>
-readRequestSpansJsonl(const std::string &path);
 
 } // namespace neurocube
 

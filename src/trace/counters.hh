@@ -19,8 +19,9 @@
  *
  * A disabled section is sized 0, so its publishes drop through the
  * row bound check. Every slot belongs to one (block, instance) pair:
- * the ThreadedLanes workers, which own disjoint instances, write
- * disjoint memory, and no slot is shared between them.
+ * the lane workers of a threaded batch pass, which own disjoint
+ * instances, write disjoint memory, and no slot is shared between
+ * them.
  *
  * Results come from snapshots. snapshot() copies the table, delta()
  * isolates an interval, onNodes() restricts it to one batch lane, and

@@ -22,7 +22,7 @@
  * action sites — a link traversal attempt, a vault-channel tick, a
  * PE flush — so ticks the event engine proves idle and skips
  * contribute exactly zero, making the counters bit-identical across
- * the Legacy, Event, and ThreadedLanes engines
+ * the Legacy and Event engines, threaded batch passes included
  * (tests/test_engine_diff.cc asserts this).
  */
 

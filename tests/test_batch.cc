@@ -418,8 +418,7 @@ TEST(Batch, OneLaneWholeMeshMatchesRunForward)
     NetworkData data = NetworkData::randomized(net, 7);
     Tensor input = laneInputs(net, 1, 700).front();
 
-    for (SimEngine engine : {SimEngine::Legacy, SimEngine::Event,
-                             SimEngine::ThreadedLanes}) {
+    for (SimEngine engine : {SimEngine::Legacy, SimEngine::Event}) {
         SCOPED_TRACE(int(engine));
         NeurocubeConfig config;
         config.engine = engine;

@@ -4,9 +4,10 @@
  * SimEngine must produce bit-identical results. For seeded random
  * networks (layer shapes, kernel geometry, activation mix), machine
  * configurations (DRAM technology, NoC buffer/link widths, mapping
- * knobs) and batch lane counts, the legacy tick-every-cycle loop,
- * the event-driven wake-list scheduler and the threaded per-lane
- * scheduler are run on the same workload and compared on:
+ * knobs) and batch lane counts, the legacy tick-every-cycle loop and
+ * the event-driven wake-list scheduler (which runs multi-lane batch
+ * passes as per-lane schedulers on worker threads) are run on the
+ * same workload and compared on:
  *
  *   - final cycle counts (total and per layer),
  *   - computed outputs (every layer tensor, bit for bit),
@@ -351,11 +352,13 @@ batchSnapshotsEqual(const BatchSnapshot &ref, const BatchSnapshot &got)
     return ::testing::AssertionSuccess();
 }
 
-TEST(EngineDiff, FuzzBatchAllThreeEngines)
+TEST(EngineDiff, FuzzBatchBothEngines)
 {
-    // Batched runs are where ThreadedLanes diverges from Event, so
-    // every seed runs all three engines on a random lane count
-    // (including partial batches that park trailing lanes).
+    // With no recorder live, the event engine runs every pass with
+    // more than one active lane on per-lane worker threads, so every
+    // seed checks the threaded batch path against Legacy on a random
+    // lane count (including partial batches that park trailing lanes,
+    // and one-input batches that stay on one whole-machine scheduler).
     const unsigned seeds = std::max(1u, fuzzSeedCount() / 4);
     for (unsigned seed = 1; seed <= seeds; ++seed) {
         Rng rng(uint64_t(seed) * 0x2545f4914f6cdd1dull);
@@ -378,15 +381,9 @@ TEST(EngineDiff, FuzzBatchAllThreeEngines)
             config, SimEngine::Legacy, lanes, net, data, inputs);
         BatchSnapshot event = snapshotBatch(
             config, SimEngine::Event, lanes, net, data, inputs);
-        BatchSnapshot threaded = snapshotBatch(
-            config, SimEngine::ThreadedLanes, lanes, net, data,
-            inputs);
         ASSERT_TRUE(batchSnapshotsEqual(legacy, event))
             << "seed " << seed << " lanes " << lanes << " occupied "
-            << occupied << " (event)";
-        ASSERT_TRUE(batchSnapshotsEqual(legacy, threaded))
-            << "seed " << seed << " lanes " << lanes << " occupied "
-            << occupied << " (threaded)";
+            << occupied;
         ASSERT_GT(legacy.cycles, 0u) << "seed " << seed;
     }
 }
@@ -444,8 +441,7 @@ TEST(EngineDiff, FuzzForwardWithLiveSampledRecorder)
     // The zero-compromise telemetry contract: with a live recorder
     // (real event sinks) in sampled mode, the event engine must stay
     // bit-identical to Legacy-with-tracing in cycles, stall totals
-    // and energy counts. ThreadedLanes demotes to Event under the
-    // recorder, so it must match too.
+    // and energy counts.
     const std::string tag = "engine_diff_sampled";
     const unsigned seeds = std::max(1u, fuzzSeedCount() / 4);
     for (unsigned seed = 1; seed <= seeds; ++seed) {
@@ -464,18 +460,17 @@ TEST(EngineDiff, FuzzForwardWithLiveSampledRecorder)
                                              net, data, input);
         RunSnapshot event = snapshotForward(config, SimEngine::Event,
                                             net, data, input);
-        RunSnapshot threaded = snapshotForward(
-            config, SimEngine::ThreadedLanes, net, data, input);
         ASSERT_TRUE(snapshotsEqual(legacy, event))
             << "seed " << seed << " (event, sampled recorder)";
-        ASSERT_TRUE(snapshotsEqual(legacy, threaded))
-            << "seed " << seed << " (threaded, sampled recorder)";
     }
     removeSinkFiles(tag);
 }
 
 TEST(EngineDiff, FuzzBatchWithLiveSampledRecorder)
 {
+    // The recorder ring has one producer, so with a live recorder the
+    // event engine runs every batch pass on one whole-machine
+    // scheduler; that path must match Legacy too.
     const std::string tag = "engine_diff_batch_sampled";
     const unsigned seeds = std::max(1u, fuzzSeedCount() / 8);
     for (unsigned seed = 1; seed <= seeds; ++seed) {
@@ -499,15 +494,9 @@ TEST(EngineDiff, FuzzBatchWithLiveSampledRecorder)
             config, SimEngine::Legacy, lanes, net, data, inputs);
         BatchSnapshot event = snapshotBatch(
             config, SimEngine::Event, lanes, net, data, inputs);
-        BatchSnapshot threaded = snapshotBatch(
-            config, SimEngine::ThreadedLanes, lanes, net, data,
-            inputs);
         ASSERT_TRUE(batchSnapshotsEqual(legacy, event))
             << "seed " << seed << " lanes " << lanes
             << " (event, sampled recorder)";
-        ASSERT_TRUE(batchSnapshotsEqual(legacy, threaded))
-            << "seed " << seed << " lanes " << lanes
-            << " (threaded, sampled recorder)";
     }
     removeSinkFiles(tag);
 }
@@ -550,64 +539,6 @@ TEST(EngineDiff, FuzzTraceOnVsOffCycleInvariance)
     removeSinkFiles(tag);
 }
 
-#if NEUROCUBE_TRACE_ENABLED
-TEST(EngineDiff, ActiveEngineUnderLiveRecorder)
-{
-    const std::string tag = "engine_diff_active";
-
-    // A live sampled recorder leaves the event engine active — no
-    // Legacy fallback.
-    NeurocubeConfig config;
-    config.engine = SimEngine::Event;
-    config.trace.enabled = true;
-    config.trace.metrics = true;
-    config.trace.energy = true;
-    addSampledSinks(config, tag, 8);
-    {
-        Neurocube cube(config);
-        EXPECT_EQ(cube.activeEngine(), SimEngine::Event);
-    }
-
-    // The recorder ring is single-threaded, so ThreadedLanes demotes
-    // to Event (not Legacy) while the recorder is live.
-    config.engine = SimEngine::ThreadedLanes;
-    {
-        Neurocube cube(config);
-        EXPECT_EQ(cube.activeEngine(), SimEngine::Event);
-    }
-
-    // A metrics-only session has no recorder: nothing demotes.
-    NeurocubeConfig metrics_only;
-    metrics_only.engine = SimEngine::ThreadedLanes;
-    metrics_only.trace.enabled = true;
-    metrics_only.trace.metrics = true;
-    metrics_only.trace.energy = true;
-    {
-        Neurocube cube(metrics_only);
-        EXPECT_EQ(cube.activeEngine(), SimEngine::ThreadedLanes);
-    }
-    removeSinkFiles(tag);
-}
-
-TEST(EngineDiff, OtherMachinesRecorderDoesNotDemote)
-{
-    // Demotion follows the machine's own recorder: an untraced
-    // ThreadedLanes machine built while a traced one is alive keeps
-    // its worker threads.
-    const std::string tag = "engine_diff_other";
-    NeurocubeConfig traced;
-    traced.trace.enabled = true;
-    addSampledSinks(traced, tag, 8);
-    NeurocubeConfig untraced;
-    untraced.engine = SimEngine::ThreadedLanes;
-    {
-        Neurocube recording(traced);
-        Neurocube cube(untraced);
-        EXPECT_EQ(cube.activeEngine(), SimEngine::ThreadedLanes);
-    }
-    removeSinkFiles(tag);
-}
-#endif
 
 /** Engine-invariant view of a driver-produced RunResult. */
 struct DriverSnapshot

@@ -1,9 +1,10 @@
 /**
  * @file
- * Thread-safety tests for the ThreadedLanes engine. These run under
- * the tsan preset (scripts/check.sh, CI): each batched pass spawns
- * one worker per active lane, and the per-lane schedulers must never
- * touch shared state without the fabric's per-node scratch detour.
+ * Thread-safety tests for the event engine's threaded batch passes.
+ * These run under the tsan preset (scripts/check.sh, CI): each
+ * batched pass with more than one active lane spawns one worker per
+ * active lane, and the per-lane schedulers must never touch shared
+ * state without the fabric's per-node scratch detour.
  * The checks themselves are determinism checks — a data race that
  * corrupts counters shows up as a cross-engine mismatch even when
  * tsan is not watching. The last two tests keep two traced machines
@@ -55,7 +56,6 @@ NeurocubeConfig
 threadedConfig(unsigned lanes)
 {
     NeurocubeConfig config;
-    config.engine = SimEngine::ThreadedLanes;
     config.batch.lanes = lanes;
 #if NEUROCUBE_TRACE_ENABLED
     // Metrics + energy on: the per-(component, instance) counter
@@ -103,7 +103,7 @@ TEST(EngineThreads, FourLanesMatchReferenceUnderThreads)
     EXPECT_EQ(cube.fabric().crossLanePackets(), 0u);
 }
 
-TEST(EngineThreads, ThreadedMatchesSingleThreadedEvent)
+TEST(EngineThreads, ThreadedMatchesLegacy)
 {
     NetworkDesc net = convFcNet();
     NetworkData data = NetworkData::randomized(net, 22);
@@ -124,12 +124,12 @@ TEST(EngineThreads, ThreadedMatchesSingleThreadedEvent)
         return std::make_pair(cycles, energy);
     };
 
-    auto event = run_with(SimEngine::Event);
-    auto threaded = run_with(SimEngine::ThreadedLanes);
-    EXPECT_EQ(event.first, threaded.first);
-    ASSERT_EQ(event.second.size(), threaded.second.size());
-    for (size_t l = 0; l < event.second.size(); ++l) {
-        EXPECT_EQ(event.second[l].n, threaded.second[l].n)
+    auto legacy = run_with(SimEngine::Legacy);
+    auto threaded = run_with(SimEngine::Event);
+    EXPECT_EQ(legacy.first, threaded.first);
+    ASSERT_EQ(legacy.second.size(), threaded.second.size());
+    for (size_t l = 0; l < legacy.second.size(); ++l) {
+        EXPECT_EQ(legacy.second[l].n, threaded.second[l].n)
             << "lane " << l;
     }
 }

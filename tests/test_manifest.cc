@@ -57,8 +57,6 @@ TEST(Manifest, EngineNamesAreStable)
 {
     EXPECT_STREQ(simEngineName(SimEngine::Legacy), "legacy");
     EXPECT_STREQ(simEngineName(SimEngine::Event), "event");
-    EXPECT_STREQ(simEngineName(SimEngine::ThreadedLanes),
-                 "threaded_lanes");
 }
 
 TEST(Manifest, FingerprintIsStableAndSensitive)
@@ -101,8 +99,7 @@ TEST(Manifest, ExplicitDefaultChannelPlacementHashesLikeImplicit)
 TEST(Manifest, BuildRunManifestFillsTheIdentityBlock)
 {
     NeurocubeConfig config;
-    RunManifest m =
-        buildRunManifest(config, SimEngine::Event, "unit", true);
+    RunManifest m = buildRunManifest(config, "unit", true);
     EXPECT_EQ(m.name, "unit");
     EXPECT_EQ(m.engine, "event");
     EXPECT_TRUE(m.quick);
@@ -117,8 +114,7 @@ TEST(Manifest, RunManifestJsonCarriesTheStructuredFields)
 {
     RunResult run = tinyRun();
     NeurocubeConfig config;
-    RunManifest m =
-        buildRunManifest(config, SimEngine::Event, "json-test");
+    RunManifest m = buildRunManifest(config, "json-test");
     std::string json = runManifestJson(m, run);
 
     EXPECT_NE(json.find("\"name\":\"json-test\""), std::string::npos);
@@ -149,8 +145,7 @@ TEST(Manifest, MetricsTextfileIsPrometheusShaped)
 {
     RunResult run = tinyRun();
     NeurocubeConfig config;
-    RunManifest m =
-        buildRunManifest(config, SimEngine::Event, "prom-test");
+    RunManifest m = buildRunManifest(config, "prom-test");
     std::string prom = runMetricsTextfile(m, run);
 
     EXPECT_NE(prom.find("# TYPE neurocube_run_info gauge"),
@@ -209,8 +204,7 @@ TEST(Manifest, ServingExportsCarryTheIdentityAndReport)
     ServingConfig serving;
     ServingSimulator sim(cube, serving);
     ServingReport report = buildServingReport(sim.run(arrivals, input));
-    RunManifest m = buildRunManifest(machine, cube.activeEngine(),
-                                     "serve-test");
+    RunManifest m = buildRunManifest(machine, "serve-test");
 
     std::string json = servingManifestJson(m, report, 3.5);
     EXPECT_NE(json.find("\"name\":\"serve-test\""), std::string::npos);

@@ -230,6 +230,28 @@ TEST_F(ChannelTest, ReadAfterBufferedWriteReturnsNewValue)
     EXPECT_DOUBLE_EQ(responses[0].data.toDouble(), 7.5);
 }
 
+TEST_F(ChannelTest, HazardHoldsUntilEveryBufferedWriteIsServed)
+{
+    // Two buffered writes to address 9 with a write to another row
+    // (and bank) between them, so the drain serves them in separate
+    // words. A read of 9 queued after the first write is served must
+    // still see a hazard and wait for the second: reading now would
+    // return the stale first value.
+    const Addr other_row = Addr(params_.elementsPerRow());
+    channel_.enqueue({true, 9, Fixed::fromDouble(1.5), 0});
+    channel_.enqueue({true, other_row, Fixed::fromDouble(3.0), 1});
+    channel_.enqueue({true, 9, Fixed::fromDouble(7.5), 2});
+    for (Tick t = 0; t < 600 && channel_.store().read(9).raw() == 0; ++t)
+        channel_.tick(now_++);
+    ASSERT_DOUBLE_EQ(channel_.store().read(9).toDouble(), 1.5);
+
+    channel_.enqueue({false, 9, Fixed(), 3});
+    auto responses = run(600);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_DOUBLE_EQ(responses[0].data.toDouble(), 7.5);
+    EXPECT_TRUE(channel_.idle());
+}
+
 TEST_F(ChannelTest, WritesDrainWhenReadsRunOut)
 {
     // A lone write must not linger: with no reads queued the drain

@@ -124,6 +124,86 @@ TEST(OpCache, ExtractReportsScanCost)
     EXPECT_EQ(scanned, 10u); // ops 0/16/32 all map to sub-bank 0
 }
 
+/** Insert @p count packets for (group, op), numbered from @p first. */
+void
+insertNumbered(OpCache &cache, uint32_t group, OpId op, uint32_t first,
+               uint32_t count)
+{
+    for (uint32_t n = first; n < first + count; ++n) {
+        cache.insert(group, operand(PacketKind::State, MacId(n % 16), op,
+                                    group, 1.0, n));
+    }
+}
+
+/** Extract (group, op) and expect neurons first .. first+count-1. */
+void
+expectNumbered(OpCache &cache, uint32_t group, OpId op, uint32_t first,
+               uint32_t count)
+{
+    std::vector<Packet> out;
+    cache.extract(group, op, out);
+    ASSERT_EQ(out.size(), count) << "group " << group << " op " << op;
+    for (uint32_t i = 0; i < count; ++i) {
+        EXPECT_EQ(out[i].neuron, first + i)
+            << "group " << group << " op " << op << " packet " << i;
+        EXPECT_EQ(out[i].opId, op);
+        EXPECT_EQ(out[i].group, group);
+    }
+}
+
+TEST(OpCache, InsertionOrderKeptAcrossRunsAndReuse)
+{
+    StatGroup root(nullptr, "t");
+    OpCache cache({16, 64}, &root, 0, Probe{});
+    // Three keys in one sub-bank (ops 5 and 21, groups 0 and 1),
+    // interleaved so their packets span several fixed runs each.
+    for (uint32_t round = 0; round < 5; ++round) {
+        insertNumbered(cache, 0, 5, 100 + 5 * round, 5);
+        insertNumbered(cache, 0, 21, 200 + 3 * round, 3);
+        insertNumbered(cache, 1, 5, 300 + 7 * round, 7);
+    }
+    EXPECT_EQ(cache.totalEntries(), 75u);
+    expectNumbered(cache, 0, 21, 200, 15);
+    expectNumbered(cache, 0, 5, 100, 25);
+
+    // Runs freed by the extractions above are reused for new keys.
+    insertNumbered(cache, 2, 5, 400, 19);
+    insertNumbered(cache, 0, 5, 500, 9);
+    expectNumbered(cache, 1, 5, 300, 35);
+    expectNumbered(cache, 2, 5, 400, 19);
+    expectNumbered(cache, 0, 5, 500, 9);
+    EXPECT_TRUE(cache.empty());
+
+    // clear() drops parked packets and recycles every run.
+    insertNumbered(cache, 3, 6, 600, 30);
+    insertNumbered(cache, 3, 7, 700, 30);
+    cache.clear();
+    EXPECT_TRUE(cache.empty());
+    std::vector<Packet> out;
+    cache.extract(3, 6, out);
+    EXPECT_TRUE(out.empty());
+    // Enough interleaved keys that every run in use before clear()
+    // is handed out again.
+    for (uint32_t round = 0; round < 4; ++round) {
+        for (OpId op = 7; op < 11; ++op)
+            insertNumbered(cache, 4, op, 100 * op + 5 * round, 5);
+    }
+    for (OpId op = 7; op < 11; ++op)
+        expectNumbered(cache, 4, op, 100 * op, 20);
+    EXPECT_TRUE(cache.empty());
+}
+
+TEST(OpCache, OverflowPastSubBankCapacityAcceptedInOrder)
+{
+    StatGroup root(nullptr, "t");
+    OpCache cache({16, 4}, &root, 0, Probe{});
+    insertNumbered(cache, 0, 3, 0, 30);
+    EXPECT_EQ(cache.overflows(), 26u);
+    EXPECT_EQ(cache.subBankOccupancy(3), 30u);
+    expectNumbered(cache, 0, 3, 0, 30);
+    EXPECT_TRUE(cache.empty());
+}
+
 class PeTest : public ::testing::Test
 {
   protected:
