@@ -193,8 +193,11 @@ NEUROCUBE_QUICK=1 NEUROCUBE_BENCH_DIR="$gate_dir/on" \
     NEUROCUBE_TRACE_EXPORT="$gate_dir/on" \
     NEUROCUBE_TRACE_SAMPLE=1024 \
     "$gate_bin" >/dev/null
+# Each run's wall time appears twice: in its run object
+# ({"wall_ms": ...) and in the manifest embedded there
+# (,"wall_ms":...). Sum the run objects only.
 wall_sum() {
-    grep -o '"wall_ms": *[0-9.]*' "$1" | grep -o '[0-9.]*$' \
+    grep -o '{"wall_ms": *[0-9.]*' "$1" | grep -o '[0-9.]*$' \
         | awk '{ s += $1 } END { print s }'
 }
 off_ms="$(wall_sum "$gate_dir/off/BENCH_fig12.json")"

@@ -52,6 +52,25 @@ PassScheduler::~PassScheduler()
         s_.fabric->setNodeWakeSink(node, nullptr);
 }
 
+template <typename Skip>
+void
+PassScheduler::catchUp(Tick &acct, Tick to, Skip skip)
+{
+    if (acct < to) {
+        skipped_ += to - acct;
+        skip(acct, to);
+        acct = to;
+    }
+}
+
+void
+PassScheduler::catchUpFabric(Tick to)
+{
+    catchUp(fabricAcct_, to, [&](Tick from, Tick until) {
+        s_.fabric->skipTicks(s_.noc, until - from);
+    });
+}
+
 void
 PassScheduler::step(Tick t)
 {
@@ -61,10 +80,9 @@ PassScheduler::step(Tick t)
     // Phase 1: PNGs (ascending channel index, as the legacy loop).
     for (size_t i = 0; i < nc; ++i) {
         if (pngWake_[i] <= t) {
-            if (pngAcct_[i] < t) {
-                skipped_ += t - pngAcct_[i];
-                s_.pngs[i]->skipTicks(pngAcct_[i], t);
-            }
+            catchUp(pngAcct_[i], t, [&](Tick from, Tick until) {
+                s_.pngs[i]->skipTicks(from, until);
+            });
             s_.pngs[i]->tick(t);
             pngAcct_[i] = t + 1;
             pngWake_[i] = s_.pngs[i]->nextEventAfter(t);
@@ -76,35 +94,23 @@ PassScheduler::step(Tick t)
     // down to t, so the tick below sees legacy-identical state.
     for (size_t i = 0; i < nc; ++i) {
         if (chWake_[i] <= t) {
-            if (chAcct_[i] < t) {
-                skipped_ += t - chAcct_[i];
-                s_.channels[i]->skipTicks(chAcct_[i], t);
-            }
+            catchUp(chAcct_[i], t, [&](Tick from, Tick until) {
+                s_.channels[i]->skipTicks(from, until);
+            });
             s_.channels[i]->tick(t);
             chAcct_[i] = t + 1;
             chWake_[i] = s_.channels[i]->nextEventAfter(t);
         }
     }
 
-    // Phase 3: the NoC (or this lane's slice of it).
+    // Phase 3: this slice of the NoC. With every router of the slice
+    // empty it is quiescent until an injection wakes it.
     if (fabricWake_ <= t) {
-        if (fabricAcct_ < t) {
-            skipped_ += t - fabricAcct_;
-            if (s_.view != nullptr)
-                s_.fabric->skipLaneTicks(*s_.view, t - fabricAcct_);
-            else
-                s_.fabric->skipTicks(t - fabricAcct_);
-        }
-        if (s_.view != nullptr) {
-            s_.fabric->tickLane(*s_.view, t);
-            fabricWake_ = s_.fabric->laneRoutersIdle(*s_.view)
-                              ? tickNever
-                              : t + 1;
-        } else {
-            s_.fabric->tick(t);
-            fabricWake_ = s_.fabric->nextEventAfter(t);
-        }
+        catchUpFabric(t);
+        s_.fabric->tick(s_.noc, t);
         fabricAcct_ = t + 1;
+        fabricWake_ =
+            s_.fabric->routersIdle(s_.noc) ? tickNever : t + 1;
     }
 
     // Phase 4: PEs. An ejection in phase 3 woke the PE at t, so a
@@ -112,10 +118,9 @@ PassScheduler::step(Tick t)
     const size_t np = s_.pes.size();
     for (size_t i = 0; i < np; ++i) {
         if (peWake_[i] <= t) {
-            if (peAcct_[i] < t) {
-                skipped_ += t - peAcct_[i];
-                s_.pes[i]->skipTicks(peAcct_[i], t);
-            }
+            catchUp(peAcct_[i], t, [&](Tick from, Tick until) {
+                s_.pes[i]->skipTicks(from, until);
+            });
             s_.pes[i]->tick(t, *s_.fabric);
             peAcct_[i] = t + 1;
             peWake_[i] = s_.pes[i]->nextEventAfter(t, *s_.fabric);
@@ -140,33 +145,20 @@ void
 PassScheduler::catchupAll(Tick final)
 {
     for (size_t i = 0; i < s_.pngs.size(); ++i) {
-        if (pngAcct_[i] < final) {
-            skipped_ += final - pngAcct_[i];
-            s_.pngs[i]->skipTicks(pngAcct_[i], final);
-            pngAcct_[i] = final;
-        }
+        catchUp(pngAcct_[i], final, [&](Tick from, Tick until) {
+            s_.pngs[i]->skipTicks(from, until);
+        });
     }
     for (size_t i = 0; i < s_.channels.size(); ++i) {
-        if (chAcct_[i] < final) {
-            skipped_ += final - chAcct_[i];
-            s_.channels[i]->skipTicks(chAcct_[i], final);
-            chAcct_[i] = final;
-        }
+        catchUp(chAcct_[i], final, [&](Tick from, Tick until) {
+            s_.channels[i]->skipTicks(from, until);
+        });
     }
-    if (fabricAcct_ < final) {
-        skipped_ += final - fabricAcct_;
-        if (s_.view != nullptr)
-            s_.fabric->skipLaneTicks(*s_.view, final - fabricAcct_);
-        else
-            s_.fabric->skipTicks(final - fabricAcct_);
-        fabricAcct_ = final;
-    }
+    catchUpFabric(final);
     for (size_t i = 0; i < s_.pes.size(); ++i) {
-        if (peAcct_[i] < final) {
-            skipped_ += final - peAcct_[i];
-            s_.pes[i]->skipTicks(peAcct_[i], final);
-            peAcct_[i] = final;
-        }
+        catchUp(peAcct_[i], final, [&](Tick from, Tick until) {
+            s_.pes[i]->skipTicks(from, until);
+        });
     }
 }
 
@@ -178,11 +170,9 @@ PassScheduler::onChannelEnqueue(unsigned ch)
     // lookahead state) match what legacy per-tick calls left behind.
     const int slot = chSlotOfChannel_[ch];
     nc_assert(slot >= 0, "enqueue wake for foreign channel %u", ch);
-    if (chAcct_[slot] < cur_) {
-        skipped_ += cur_ - chAcct_[slot];
-        s_.channels[slot]->skipTicks(chAcct_[slot], cur_);
-        chAcct_[slot] = cur_;
-    }
+    catchUp(chAcct_[slot], cur_, [&](Tick from, Tick until) {
+        s_.channels[slot]->skipTicks(from, until);
+    });
     if (chWake_[slot] > cur_)
         chWake_[slot] = cur_;
 }
@@ -231,14 +221,7 @@ PassScheduler::onInject(unsigned node, bool from_mem)
     // no-op either way). The hook fires before the packet is pushed,
     // so the catch-up below covers a window of provably idle routers.
     const Tick when = from_mem ? cur_ : cur_ + 1;
-    if (fabricAcct_ < when) {
-        skipped_ += when - fabricAcct_;
-        if (s_.view != nullptr)
-            s_.fabric->skipLaneTicks(*s_.view, when - fabricAcct_);
-        else
-            s_.fabric->skipTicks(when - fabricAcct_);
-        fabricAcct_ = when;
-    }
+    catchUpFabric(when);
     if (fabricWake_ > when)
         fabricWake_ = when;
 }

@@ -33,14 +33,15 @@
  *  - executed ticks run in the legacy phase order (PNGs, channels,
  *    fabric, PEs; ascending index within a phase).
  *
- * One PassScheduler drives either the whole machine (the shell calls
- * step(t), then jumps to minWake()) or one batch lane's slice of it.
- * A batch pass with more than one active lane and no live trace-event
- * recorder runs one lane scheduler per worker thread, each thread
- * running the same shell over a NocFabric::LaneView; with a live
- * recorder (one producer) or a single group it runs the whole-machine
- * scheduler. tests/test_engine_diff.cc fuzzes both against the Legacy
- * body.
+ * One PassScheduler drives one slice of the machine: its PNGs,
+ * channels, PEs and a NocFabric::NodeSlice (the shell calls step(t),
+ * then jumps to minWake()). The whole machine is the slice of every
+ * component and fabric node; a batch lane is the slice of its vault
+ * group. A batch pass with more than one active lane and no live
+ * trace-event recorder runs one lane scheduler per worker thread; with
+ * a live recorder (one producer) or a single group it runs the
+ * whole-machine scheduler. tests/test_engine_diff.cc fuzzes both
+ * against the Legacy body.
  */
 
 #ifndef NEUROCUBE_CORE_ENGINE_HH
@@ -67,8 +68,8 @@ class PassScheduler final : public WakeSink
     struct Slice
     {
         NocFabric *fabric = nullptr;
-        /** Lane slice to tick, or nullptr for the whole fabric. */
-        const NocFabric::LaneView *view = nullptr;
+        /** The fabric slice to tick: the lane's, or every node's. */
+        NocFabric::NodeSlice noc;
         /** Owned channel indices, ascending (global numbering). */
         std::vector<unsigned> channelIds;
         /** Owned channels / their PNGs, parallel to channelIds. */
@@ -122,12 +123,12 @@ class PassScheduler final : public WakeSink
     void onInject(unsigned node, bool from_mem) override;
 
     /**
-     * Component-ticks bulk-replayed by skipTicks()/skipLaneTicks()
-     * since the last call, then reset. The fabric (one skip replays
-     * its whole slice) counts as a single component. The driving
-     * loop turns this into one aggregate TraceEventType::EngineSkip
-     * event per executed tick — the skipped window's trace-visible
-     * state, synthesized in bulk instead of per-cycle events.
+     * Component-ticks bulk-replayed by skipTicks() since the last
+     * call, then reset. The fabric (one skip replays its whole slice)
+     * counts as a single component. The driving loop turns this into
+     * one aggregate TraceEventType::EngineSkip event per executed
+     * tick — the skipped window's trace-visible state, synthesized in
+     * bulk instead of per-cycle events.
      */
     uint64_t
     takeSkippedTicks()
@@ -138,6 +139,15 @@ class PassScheduler final : public WakeSink
     }
 
   private:
+    /**
+     * Bulk-account a component's unaccounted ticks [acct, to) through
+     * skip(acct, to), add them to skipped_, and move acct to @p to.
+     */
+    template <typename Skip>
+    void catchUp(Tick &acct, Tick to, Skip skip);
+    /** catchUp() for the fabric slice. */
+    void catchUpFabric(Tick to);
+
     Slice s_;
 
     // Per owned component: next interesting tick / first

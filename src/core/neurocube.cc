@@ -243,12 +243,12 @@ Neurocube::groupSlice(const LaneSpec *lane)
             s.peIds.push_back(p);
             s.pes.push_back(pes_[p].get());
         }
+        s.noc = fabric_->allNodes();
         return s;
     }
     // Batching requires the identity vault attachment (channel i at
     // node i, asserted by buildBatchLanes), so a lane's node list
-    // selects its channels, PNGs, and PEs alike.
-    s.view = &laneViews()[lane->index];
+    // selects its channels, PNGs, PEs and fabric nodes alike.
     for (unsigned node : lane->nodes) {
         s.channelIds.push_back(node);
         s.channels.push_back(channels_[node].get());
@@ -257,20 +257,8 @@ Neurocube::groupSlice(const LaneSpec *lane)
         s.peIds.push_back(node);
         s.pes.push_back(pes_[node].get());
     }
+    s.noc = fabric_->slice(lane->nodes);
     return s;
-}
-
-const std::vector<NocFabric::LaneView> &
-Neurocube::laneViews()
-{
-    if (laneViews_.empty() && !lanePartition_.empty()) {
-        std::vector<std::vector<unsigned>> partition;
-        partition.reserve(lanePartition_.size());
-        for (const LaneSpec &lane : lanePartition_)
-            partition.push_back(lane.nodes);
-        laneViews_ = fabric_->buildLaneViews(partition);
-    }
-    return laneViews_;
 }
 
 Tick
@@ -396,14 +384,11 @@ Neurocube::runPass(const std::vector<CompletionGroup> &groups,
     std::vector<std::unique_ptr<PassScheduler>> scheds;
     Tick final = frame.start;
     if (threaded) {
-        // Shared fabric aggregates detour through per-node scratch
-        // while the workers run; everything else the lanes touch is
+        // Everything the lanes touch, fabric counters included, is
         // per-node and therefore disjoint by construction (the lane
-        // checker asserts no packet crosses lanes).
-        fabric_->setLaneStatsMode(true);
-        // One scheduler per lane, parked lanes included: they never
-        // step, but the catch-up below bulk-accounts their idle
-        // components.
+        // checker asserts no packet crosses lanes). One scheduler per
+        // lane, parked lanes included: they never step, but the
+        // catch-up below bulk-accounts their idle components.
         for (const LaneSpec &lane : lanePartition_) {
             scheds.push_back(std::make_unique<PassScheduler>(
                 groupSlice(&lane), frame.start));
@@ -441,10 +426,6 @@ Neurocube::runPass(const std::vector<CompletionGroup> &groups,
     for (auto &sched : scheds) {
         sched->catchupAll(final);
         emitSkipped(probe_, *sched);
-    }
-    if (threaded) {
-        fabric_->foldLaneStats();
-        fabric_->setLaneStatsMode(false);
     }
     now_ = final;
     return frame.start;
@@ -661,7 +642,6 @@ Neurocube::setBatchLanes(unsigned lanes)
     // count). The fabric lane map is per-run — runForwardBatch arms
     // it on entry and clears it on exit.
     lanePartition_.clear();
-    laneViews_.clear();
     batchActivations_.clear();
     // The old partition's lane-keyed plans are unreachable now.
     compiler_.invalidatePlanCache();

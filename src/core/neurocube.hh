@@ -130,8 +130,14 @@ class Neurocube
     /** The machine configuration. */
     const NeurocubeConfig &config() const { return config_; }
 
-    /** Root of the statistics hierarchy. */
-    StatGroup &stats() { return statGroup_; }
+    /** Root of the statistics hierarchy, with the fabric's aggregate
+     *  entries refreshed from its per-node counters. */
+    StatGroup &
+    stats()
+    {
+        fabric_->refreshStats();
+        return statGroup_;
+    }
 
     /** The NoC (tests and experiments). */
     NocFabric &fabric() { return *fabric_; }
@@ -209,8 +215,6 @@ class Neurocube
 
     /** Slice of one lane's components, or of the whole machine. */
     PassScheduler::Slice groupSlice(const LaneSpec *lane);
-    /** Lane fabric views for lanePartition_ (built lazily, cached). */
-    const std::vector<NocFabric::LaneView> &laneViews();
     /**
      * Run one layer on every group (group g compiled against its own
      * vaults and inputs[g]) and assemble one result per group;
@@ -277,8 +281,6 @@ class Neurocube
 
     /** Vault groups for batched execution (batch.lanes entries). */
     std::vector<LaneSpec> lanePartition_;
-    /** Cached fabric slices of lanePartition_ (see laneViews()). */
-    std::vector<NocFabric::LaneView> laneViews_;
     /** Per lane, per layer: gathered outputs of the last batch run. */
     std::vector<std::vector<Tensor>> batchActivations_;
 

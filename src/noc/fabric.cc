@@ -17,6 +17,7 @@ NocFabric::NocFabric(const Config &config, StatGroup *parent,
       memDelivery_(config.numNodes, PacketRing(config.deliveryDepth)),
       nodeLateral_(config.numNodes, 0),
       nodeLocal_(config.numNodes, 0),
+      nodeCounters_(config.numNodes),
       nodeSink_(config.numNodes, nullptr),
       statGroup_(parent, "noc"),
       statEjected_(&statGroup_, "ejected", "packets ejected at endpoints"),
@@ -35,6 +36,10 @@ NocFabric::NocFabric(const Config &config, StatGroup *parent,
         buildFullyConnected();
         break;
     }
+    std::vector<unsigned> every(config_.numNodes);
+    for (unsigned node = 0; node < config_.numNodes; ++node)
+        every[node] = node;
+    all_ = slice(std::move(every));
     publishSpatialTopology();
 }
 
@@ -195,19 +200,12 @@ NocFabric::buildFullyConnected()
 void
 NocFabric::accountInjection(unsigned node, const Packet &packet)
 {
-    // Per-node counters are the single accounting path: they are
-    // disjoint per node, so they need no lane-mode scratch detour,
-    // and the aggregate accessors sum them on demand.
     if (packet.dst == node)
         ++nodeLocal_[node];
     else
         ++nodeLateral_[node];
-    if (!laneOf_.empty() && laneOf_[node] != laneOf_[packet.dst]) {
-        if (laneMode_)
-            ++scratch_[node].crossLane;
-        else
-            ++crossLanePackets_;
-    }
+    if (!laneOf_.empty() && laneOf_[node] != laneOf_[packet.dst])
+        ++nodeCounters_[node].crossLane;
 }
 
 void
@@ -263,21 +261,14 @@ NocFabric::traverseLink(const Link &link, size_t index)
         // With a lane map installed, a packet entering a router
         // outside its destination's lane escaped its sub-mesh.
         if (!laneOf_.empty()
-            && laneOf_[link.dstRouter] != laneOf_[out.front().dst]) {
-            if (laneMode_)
-                ++scratch_[link.dstRouter].crossLane;
-            else
-                ++crossLanePackets_;
-        }
+            && laneOf_[link.dstRouter] != laneOf_[out.front().dst])
+            ++nodeCounters_[link.dstRouter].crossLane;
         routers_[link.dstRouter]->pushInput(link.dstPort,
                                             out.front());
         out.pop_front();
         --src.bufferedOutputs_;
         --budget;
-        if (laneMode_)
-            ++scratch_[link.srcRouter].linkFlits;
-        else
-            statLinkFlits_ += 1;
+        ++nodeCounters_[link.srcRouter].linkFlits;
         probe_.addSpatial(SpatialCounter::LinkFlit, index, 1);
         probe_.addEnergy(EnergyEventKind::NocLink, link.srcRouter,
                          link.distance);
@@ -298,6 +289,7 @@ NocFabric::ejectNode(unsigned node, Tick now)
     Router &router = *routers_[node];
     if (router.bufferedOutputs() == 0)
         return;
+    NodeCounters &counters = nodeCounters_[node];
     auto eject = [&](unsigned port, PacketRing &sink,
                      bool is_mem) {
         auto &out = router.outputQueue(port);
@@ -306,16 +298,9 @@ NocFabric::ejectNode(unsigned node, Tick now)
         while (budget > 0 && !out.empty()
                && sink.size() < config_.deliveryDepth) {
             Tick latency = now - out.front().injectTick;
-            if (laneMode_) {
-                NodeScratch &s = scratch_[node];
-                ++s.ejected;
-                s.latencySum += latency;
-                s.latency.sample(latency);
-            } else {
-                statEjected_ += 1;
-                statLatencySum_ += latency;
-                histLatency_.sample(latency);
-            }
+            ++counters.ejected;
+            counters.latencySum += latency;
+            counters.latency.sample(latency);
             probe_.event(TraceComponent::Router, node,
                          TraceEventType::PacketEject, is_mem ? 1 : 0,
                          latency);
@@ -333,110 +318,77 @@ NocFabric::ejectNode(unsigned node, Tick now)
 }
 
 void
-NocFabric::tick(Tick now)
+NocFabric::tick(const NodeSlice &slice, Tick now)
 {
-    // Phase 1: switch allocation in every router.
-    for (auto &router : routers_)
-        router->tick();
+    // Phase 1: switch allocation in the slice's routers.
+    for (unsigned node : slice.nodes)
+        routers_[node]->tick();
 
     // Phase 2: router-to-router links (credit = downstream space).
     // Links never share a source or destination FIFO, so the three
-    // phase loops (and any restriction of them, see tickLane) are
+    // phase loops (and any restriction of them to a slice) are
     // order-independent within a cycle.
-    for (size_t i = 0; i < links_.size(); ++i)
-        traverseLink(links_[i], i);
+    for (size_t index : slice.links)
+        traverseLink(links_[index], index);
 
     // Phase 3: ejection into endpoint delivery queues.
-    for (unsigned node = 0; node < config_.numNodes; ++node)
+    for (unsigned node : slice.nodes)
         ejectNode(node, now);
 }
 
-void
-NocFabric::tickLane(const LaneView &view, Tick now)
+NocFabric::NodeSlice
+NocFabric::slice(std::vector<unsigned> nodes) const
 {
-    for (unsigned node : view.nodes)
-        routers_[node]->tick();
-    for (size_t index : view.links)
-        traverseLink(links_[index], index);
-    for (unsigned node : view.nodes)
-        ejectNode(node, now);
-}
-
-std::vector<NocFabric::LaneView>
-NocFabric::buildLaneViews(
-    const std::vector<std::vector<unsigned>> &partition) const
-{
-    std::vector<LaneView> views(partition.size());
-    std::vector<size_t> lane_of(config_.numNodes, SIZE_MAX);
-    for (size_t l = 0; l < partition.size(); ++l) {
-        views[l].nodes = partition[l];
-        std::sort(views[l].nodes.begin(), views[l].nodes.end());
-        for (unsigned node : views[l].nodes) {
-            nc_assert(lane_of[node] == SIZE_MAX,
-                      "node %u in two lanes", node);
-            lane_of[node] = l;
-        }
+    NodeSlice s;
+    s.nodes = std::move(nodes);
+    std::sort(s.nodes.begin(), s.nodes.end());
+    std::vector<bool> member(config_.numNodes, false);
+    for (unsigned node : s.nodes) {
+        nc_assert(node < config_.numNodes && !member[node],
+                  "bad or repeated slice node %u", node);
+        member[node] = true;
     }
     for (size_t i = 0; i < links_.size(); ++i) {
-        size_t src_lane = lane_of[links_[i].srcRouter];
-        if (src_lane != SIZE_MAX
-            && src_lane == lane_of[links_[i].dstRouter]) {
-            views[src_lane].links.push_back(i);
-        }
+        if (member[links_[i].srcRouter] && member[links_[i].dstRouter])
+            s.links.push_back(i);
     }
-    return views;
+    return s;
 }
 
 void
-NocFabric::skipTicks(uint64_t n)
+NocFabric::skipTicks(const NodeSlice &slice, uint64_t n)
 {
-    for (auto &router : routers_)
-        router->skipTicks(n);
-}
-
-void
-NocFabric::skipLaneTicks(const LaneView &view, uint64_t n)
-{
-    for (unsigned node : view.nodes)
+    for (unsigned node : slice.nodes)
         routers_[node]->skipTicks(n);
 }
 
-void
-NocFabric::setWakeSink(WakeSink *sink)
-{
-    for (auto &slot : nodeSink_)
-        slot = sink;
-}
-
-void
-NocFabric::setLaneStatsMode(bool enabled)
-{
-    laneMode_ = enabled;
-    if (enabled && scratch_.size() != config_.numNodes)
-        scratch_.resize(config_.numNodes);
-}
-
-void
-NocFabric::foldLaneStats()
-{
-    for (NodeScratch &s : scratch_) {
-        statEjected_ += s.ejected;
-        statLatencySum_ += s.latencySum;
-        statLinkFlits_ += s.linkFlits;
-        crossLanePackets_ += s.crossLane;
-        histLatency_.merge(s.latency);
-        s = NodeScratch{};
-    }
-}
-
 bool
-NocFabric::routersIdle() const
+NocFabric::routersIdle(const NodeSlice &slice) const
 {
-    for (const auto &router : routers_) {
-        if (!router->idle())
+    for (unsigned node : slice.nodes) {
+        if (!routers_[node]->idle())
             return false;
     }
     return true;
+}
+
+Histogram
+NocFabric::latencyHistogram() const
+{
+    Histogram merged(nullptr, "latency", "");
+    for (const NodeCounters &c : nodeCounters_)
+        merged.merge(c.latency);
+    return merged;
+}
+
+void
+NocFabric::refreshStats()
+{
+    statEjected_.set(double(ejectedPackets()));
+    statLatencySum_.set(double(sumOf(&NodeCounters::latencySum)));
+    statLinkFlits_.set(double(linkFlits()));
+    histLatency_.reset();
+    histLatency_.merge(latencyHistogram());
 }
 
 bool
@@ -449,7 +401,7 @@ NocFabric::nodeQuiescent(unsigned node) const
 bool
 NocFabric::idle() const
 {
-    if (!routersIdle())
+    if (!routersIdle(all_))
         return false;
     for (const auto &q : peDelivery_) {
         if (!q.empty())

@@ -93,100 +93,64 @@ class NocFabric
         return memDelivery_[v];
     }
 
-    /** Advance one cycle: switch all routers, then move all links. */
-    void tick(Tick now);
-
     /**
-     * Structural slice of one batch lane: the lane's routers and the
-     * links internal to it. tickLane() over a view is equivalent to
-     * tick() as long as no packet crosses lanes (routers, links and
-     * ejections are mutually independent within a cycle, so
-     * restricting the iteration to one lane's slice cannot reorder
-     * anything observable).
+     * A structural slice of the fabric: some nodes' routers and the
+     * links internal to them. Every tick, skip and idle test runs over
+     * a slice; the whole machine is the slice of every node and link
+     * (allNodes()), a batch lane the slice of its vault group. Ticking
+     * a slice is equivalent to ticking the whole fabric as long as no
+     * packet crosses its boundary (routers, links and ejections are
+     * mutually independent within a cycle, so restricting the
+     * iteration to one slice cannot reorder anything observable).
      */
-    struct LaneView
+    struct NodeSlice
     {
-        /** Lane nodes, ascending (matches full-fabric tick order). */
+        /** Slice nodes, ascending (matches whole-fabric tick order). */
         std::vector<unsigned> nodes;
-        /** Indices into links_ of the lane-internal links. */
+        /** Indices into links_ of the slice-internal links. */
         std::vector<size_t> links;
     };
 
-    /** Slice the fabric along a node partition (one view per lane). */
-    std::vector<LaneView>
-    buildLaneViews(
-        const std::vector<std::vector<unsigned>> &partition) const;
+    /** The slice over @p nodes (any order, no duplicates). */
+    NodeSlice slice(std::vector<unsigned> nodes) const;
 
-    /** Advance one cycle for one lane's slice only. */
-    void tickLane(const LaneView &view, Tick now);
-
-    /** True when none of the lane's routers holds a packet. */
-    bool
-    laneRoutersIdle(const LaneView &view) const
-    {
-        for (unsigned node : view.nodes) {
-            if (!routers_[node]->idle())
-                return false;
-        }
-        return true;
-    }
+    /** The slice of every node and every link. */
+    const NodeSlice &allNodes() const { return all_; }
 
     /**
-     * First tick after @p now at which tick() would move a packet.
-     * With every router empty the fabric is quiescent until an
+     * Advance one cycle over a slice: switch its routers, move its
+     * links, then eject at its nodes.
+     */
+    void tick(const NodeSlice &slice, Tick now);
+
+    /** Advance the whole fabric one cycle (the Legacy body). */
+    void tick(Tick now) { tick(all_, now); }
+
+    /**
+     * Account @p n cycles in bulk for a slice whose routers are all
+     * idle. With every router empty a slice is quiescent until an
      * injection (delivery queues drain on the consumer's clock, not
-     * this one); skipTicks() accounts the skipped stretch.
+     * this one), so the skipped stretch only ages router stats.
      */
-    Tick
-    nextEventAfter(Tick now) const
-    {
-        return routersIdle() ? tickNever : now + 1;
-    }
-
-    /** Account @p n all-routers-idle cycles in bulk. */
-    void skipTicks(uint64_t n);
-
-    /** Account @p n lane-routers-idle cycles for one lane's slice. */
-    void skipLaneTicks(const LaneView &view, uint64_t n);
+    void skipTicks(const NodeSlice &slice, uint64_t n);
 
     /**
-     * Install one wake sink for every node (single event scheduler),
-     * or nullptr to detach. Ejections into a node's delivery queues
-     * report onEject(node, to_mem) and injections report
-     * onInject(node, from_mem) to the node's sink.
+     * True when no packet is inside one of the slice's routers
+     * (packets may still wait in endpoint delivery queues).
      */
-    void setWakeSink(WakeSink *sink);
+    bool routersIdle(const NodeSlice &slice) const;
 
-    /** Install the wake sink of one node (per-lane schedulers). */
+    /** Install the wake sink of one node (nullptr = detach). Ejections
+     *  into its delivery queues report onEject(node, to_mem) and
+     *  injections report onInject(node, from_mem). */
     void
     setNodeWakeSink(unsigned node, WakeSink *sink)
     {
         nodeSink_[node] = sink;
     }
 
-    /**
-     * Route the fabric-level aggregate stats (ejection counts,
-     * latency histogram, link flits, lane-violation count) through
-     * per-node scratch counters instead of the shared Stat objects,
-     * so concurrent per-lane tickLane() calls never touch shared
-     * state. foldLaneStats() merges the scratch back (the fold is
-     * exact: all quantities are integer-valued). Per-node stats
-     * (router objects, nodeLateral_/nodeLocal_) are already disjoint
-     * and stay direct.
-     */
-    void setLaneStatsMode(bool enabled);
-
-    /** Merge per-node scratch stats into the shared Stats. */
-    void foldLaneStats();
-
     /** True when no packet is anywhere in the fabric. */
     bool idle() const;
-
-    /**
-     * True when no packet is inside a router (packets may still be
-     * waiting in endpoint delivery queues).
-     */
-    bool routersIdle() const;
 
     /**
      * True when one node holds no packets: its router FIFOs and both
@@ -205,7 +169,11 @@ class NocFabric
     void setLaneMap(std::vector<uint16_t> lane_of);
 
     /** Packets that violated the lane map (0 when lanes isolate). */
-    uint64_t crossLanePackets() const { return crossLanePackets_; }
+    uint64_t
+    crossLanePackets() const
+    {
+        return sumOf(&NodeCounters::crossLane);
+    }
 
     /** Structural parameters. */
     const Config &config() const { return config_; }
@@ -236,18 +204,20 @@ class NocFabric
     uint64_t
     ejectedPackets() const
     {
-        return statEjected_.count();
+        return sumOf(&NodeCounters::ejected);
     }
     /** Mean end-to-end packet latency in ticks. */
     double
     meanLatency() const
     {
-        uint64_t n = statEjected_.count();
-        return n ? statLatencySum_.value() / double(n) : 0.0;
+        uint64_t n = ejectedPackets();
+        return n ? double(sumOf(&NodeCounters::latencySum)) / double(n)
+                 : 0.0;
     }
 
-    /** End-to-end packet latency distribution (ticks). */
-    const Histogram &latencyHistogram() const { return histLatency_; }
+    /** End-to-end packet latency distribution (ticks), merged over
+     *  the per-node distributions. */
+    Histogram latencyHistogram() const;
 
     /** Lateral packets injected at one node (per-lane accounting). */
     uint64_t
@@ -263,7 +233,14 @@ class NocFabric
     }
 
     /** Total packet transfers over router-to-router links. */
-    uint64_t linkFlits() const { return statLinkFlits_.count(); }
+    uint64_t linkFlits() const { return sumOf(&NodeCounters::linkFlits); }
+
+    /**
+     * Rewrite the noc stat group's ejected/latencySum/linkFlits/
+     * latency entries from the per-node counters. The machine calls
+     * this before handing out its stat tree for a dump.
+     */
+    void refreshStats();
 
     /** Fraction of traffic that crossed between nodes. */
     double
@@ -308,18 +285,34 @@ class NocFabric
     /** Eject into one node's delivery queues (phase 3 body). */
     void ejectNode(unsigned node, Tick now);
 
-    /** Per-node stat accumulation while laneMode_ is set. The
-     *  lateral/local injection counts are not here: nodeLateral_/
-     *  nodeLocal_ are already per-node disjoint, so they are the
-     *  single accounting path in every mode. */
-    struct NodeScratch
+    /**
+     * One node's packet counters, the only store of the fabric's
+     * aggregates: concurrent slice ticks touch only their own nodes'
+     * entries, and the aggregate accessors sum them on demand. The
+     * lateral/local injection counts live in nodeLateral_/nodeLocal_,
+     * which the counter table reads directly.
+     */
+    struct NodeCounters
     {
+        /** Packets ejected into this node's delivery queues. */
         uint64_t ejected = 0;
         uint64_t latencySum = 0;
-        uint64_t linkFlits = 0;
-        uint64_t crossLane = 0;
         Histogram latency{nullptr, "latency", ""};
+        /** Flits sent over links out of this node's router. */
+        uint64_t linkFlits = 0;
+        /** Lane-map violations injected at or entering this node. */
+        uint64_t crossLane = 0;
     };
+
+    /** Sum of one per-node counter over every node. */
+    uint64_t
+    sumOf(uint64_t NodeCounters::*field) const
+    {
+        uint64_t total = 0;
+        for (const NodeCounters &c : nodeCounters_)
+            total += c.*field;
+        return total;
+    }
 
     Config config_;
     Probe probe_;
@@ -338,14 +331,14 @@ class NocFabric
     std::vector<uint64_t> nodeLocal_;
     /** Node -> lane assignment (empty = no checking). */
     std::vector<uint16_t> laneOf_;
-    uint64_t crossLanePackets_ = 0;
+    std::vector<NodeCounters> nodeCounters_;
+    /** Every node and link (the whole-fabric tick). */
+    NodeSlice all_;
 
     /** Per-node event-engine wake sinks (null under legacy). */
     std::vector<WakeSink *> nodeSink_;
-    /** Aggregate stats detour through scratch_ (threaded lanes). */
-    bool laneMode_ = false;
-    std::vector<NodeScratch> scratch_;
 
+    /** Dump mirrors of the per-node counters (see refreshStats()). */
     StatGroup statGroup_;
     Stat statEjected_;
     Stat statLatencySum_;

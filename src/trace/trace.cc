@@ -149,14 +149,6 @@ TraceRecorder::addSink(TraceSink *sink)
 }
 
 void
-TraceRecorder::setWindow(Tick start, Tick end)
-{
-    nc_assert(start <= end, "inverted trace window");
-    startTick_ = start;
-    endTick_ = end;
-}
-
-void
 TraceRecorder::push(const TraceEvent &event)
 {
     if (head_ - tail_ == ring_.size())
@@ -190,10 +182,7 @@ TraceRecorder::finish()
 
 TraceSession::TraceSession(const TraceConfig &config,
                            const TraceTopology &topology)
-    : recorder_(config.ringCapacity)
 {
-    recorder_.setWindow(config.startTick, config.endTick);
-    recorder_.setComponentMask(config.componentMask);
     recorder_.setSampling(config.windowTicks, config.samplePeriod);
 
     auto open = [&](const std::string &path) -> std::ostream & {
@@ -207,14 +196,14 @@ TraceSession::TraceSession(const TraceConfig &config,
     if (!config.chromeJsonPath.empty()) {
         auto chrome = std::make_unique<ChromeTraceExporter>(
             open(config.chromeJsonPath), topology,
-            config.windowTicks, config.energyPrices);
+            config.windowTicks);
         chrome_ = chrome.get();
         sinks_.push_back(std::move(chrome));
     }
     if (!config.timeseriesCsvPath.empty()) {
         auto csv = std::make_unique<TimeSeriesCsvExporter>(
             open(config.timeseriesCsvPath), topology,
-            config.windowTicks, config.energyPrices,
+            config.windowTicks, EnergyPrices{},
             config.samplePeriod);
         csv_ = csv.get();
         sinks_.push_back(std::move(csv));

@@ -75,32 +75,21 @@ class TraceRecorder
     /** Register a sink; not owned, must outlive the recorder. */
     void addSink(TraceSink *sink);
 
-    /** Restrict recording to ticks in [start, end). */
-    void setWindow(Tick start, Tick end);
-
-    /** Restrict recording to component classes with a set bit. */
-    void setComponentMask(uint32_t mask) { componentMask_ = mask; }
-
     /**
      * Window sampling (TraceConfig::samplePeriod): only windows with
      * (tick / windowTicks) % period == 0 record events, except for
-     * component classes with a set bit in exemptMask which always
-     * record. period <= 1 disables sampling.
+     * TraceComponent::Sim, which always records so serving spans,
+     * lane completions and engine-skip aggregates stay complete.
+     * period <= 1 disables sampling.
      *
      * @param windowTicks sampling window length in ticks (>= 1)
      * @param period record 1-in-`period` windows
-     * @param exemptMask component classes that bypass sampling
-     *        (default: TraceComponent::Sim, so serving spans, lane
-     *        completions, and engine-skip aggregates stay complete)
      */
     void
-    setSampling(Tick windowTicks, uint64_t period,
-                uint32_t exemptMask =
-                    1u << unsigned(TraceComponent::Sim))
+    setSampling(Tick windowTicks, uint64_t period)
     {
         sampleWindow_ = windowTicks > 0 ? windowTicks : 1;
         samplePeriod_ = period > 0 ? period : 1;
-        sampleExempt_ = exemptMask;
         sampleOpen_ = windowSampled(now_);
     }
 
@@ -132,12 +121,7 @@ class TraceRecorder
     record(TraceComponent component, uint16_t instance,
            TraceEventType type, uint32_t arg = 0, uint64_t value = 0)
     {
-        if (now_ < startTick_ || now_ >= endTick_)
-            return;
-        if (!(componentMask_ & (1u << unsigned(component))))
-            return;
-        if (!sampleOpen_
-            && !(sampleExempt_ & (1u << unsigned(component))))
+        if (!sampleOpen_ && component != TraceComponent::Sim)
             return;
         TraceEvent event;
         event.tick = now_;
@@ -158,7 +142,7 @@ class TraceRecorder
     /** Drain and notify every sink that the trace is complete. */
     void finish();
 
-    /** Events accepted so far (excluding window/mask rejects). */
+    /** Events accepted so far (excluding sampled-out ones). */
     uint64_t recorded() const { return recorded_; }
 
     /** Ring capacity in events (power of two). */
@@ -176,15 +160,11 @@ class TraceRecorder
     uint64_t tail_ = 0;
 
     Tick now_ = 0;
-    Tick startTick_ = 0;
-    Tick endTick_ = ~Tick(0);
-    uint32_t componentMask_ = ~uint32_t(0);
     uint64_t recorded_ = 0;
 
     /** Window sampling (setSampling); open == current window records. */
     Tick sampleWindow_ = 1024;
     uint64_t samplePeriod_ = 1;
-    uint32_t sampleExempt_ = 1u << unsigned(TraceComponent::Sim);
     bool sampleOpen_ = true;
 
     std::vector<TraceSink *> sinks_;

@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -141,6 +143,60 @@ randomConfig(Rng &rng, bool need_identity_channels)
     return config;
 }
 
+/**
+ * The machine's whole stat dump at full precision. The noc group's
+ * aggregate entries are refreshed from the fabric's per-node counters
+ * when the dump is taken, so they are checked against the fabric's
+ * accessors here: a refresh that never ran would read 0 on every
+ * engine and still compare equal.
+ */
+std::string
+statsDump(Neurocube &cube, const std::string &on)
+{
+    std::ostringstream os;
+    os << std::setprecision(17);
+    cube.stats().dump(os);
+    const std::string dump = os.str();
+    double ejected = -1.0;
+    double link_flits = -1.0;
+    std::istringstream lines(dump);
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::istringstream fields(line);
+        std::string key;
+        double value = 0.0;
+        fields >> key >> value;
+        if (key == "neurocube.noc.ejected")
+            ejected = value;
+        else if (key == "neurocube.noc.linkFlits")
+            link_flits = value;
+    }
+    EXPECT_GT(ejected, 0.0) << on;
+    EXPECT_EQ(ejected, double(cube.fabric().ejectedPackets())) << on;
+    EXPECT_EQ(link_flits, double(cube.fabric().linkFlits())) << on;
+    return dump;
+}
+
+/** First line where two stat dumps differ. */
+::testing::AssertionResult
+dumpsEqual(const std::string &ref, const std::string &got)
+{
+    std::istringstream a(ref);
+    std::istringstream b(got);
+    std::string la;
+    std::string lb;
+    while (true) {
+        const bool more_a = bool(std::getline(a, la));
+        const bool more_b = bool(std::getline(b, lb));
+        if (!more_a && !more_b)
+            return ::testing::AssertionSuccess();
+        if (more_a != more_b || la != lb) {
+            return ::testing::AssertionFailure()
+                << "stat dump differs:\n  " << la << "\n  " << lb;
+        }
+    }
+}
+
 /** Everything one engine run produces that must be engine-invariant. */
 struct RunSnapshot
 {
@@ -150,6 +206,7 @@ struct RunSnapshot
     std::string metricsJson;
     std::string spatialJson;
     EnergyCounts energy;
+    std::string stats;
 };
 
 RunSnapshot
@@ -173,10 +230,11 @@ snapshotForward(const NeurocubeConfig &base, SimEngine engine,
     snap.metricsJson = run.metricsJson();
     snap.spatialJson = run.spatialJson();
     snap.energy = run.energyCounts();
+    const std::string on = simEngineName(engine);
+    snap.stats = statsDump(cube, on);
 #if NEUROCUBE_TRACE_ENABLED
     // Conservation: the counter table against the components' own
     // statistics, which count independently of any trace session.
-    const std::string on = simEngineName(engine);
     if (config.trace.enabled && config.trace.energy) {
         uint64_t dram_bits = 0;
         for (const LayerResult &l : run.layers)
@@ -251,7 +309,7 @@ snapshotsEqual(const RunSnapshot &ref, const RunSnapshot &got)
                 << " vs " << got.energy.n[k];
         }
     }
-    return ::testing::AssertionSuccess();
+    return dumpsEqual(ref.stats, got.stats);
 }
 
 TEST(EngineDiff, FuzzForwardLegacyVsEvent)
@@ -288,6 +346,7 @@ struct BatchSnapshot
     std::vector<Tensor> outputs; // lane-major, all layers
     std::vector<EnergyCounts> laneEnergy;
     std::vector<std::string> laneSpatial;
+    std::string stats;
 };
 
 BatchSnapshot
@@ -314,6 +373,7 @@ snapshotBatch(const NeurocubeConfig &base, SimEngine engine,
         for (size_t i = 0; i < net.layers.size(); ++i)
             snap.outputs.push_back(cube.batchLayerOutput(l, i));
     }
+    snap.stats = statsDump(cube, simEngineName(engine));
     return snap;
 }
 
@@ -349,7 +409,7 @@ batchSnapshotsEqual(const BatchSnapshot &ref, const BatchSnapshot &got)
                 << "lane " << l << " spatial JSON differs";
         }
     }
-    return ::testing::AssertionSuccess();
+    return dumpsEqual(ref.stats, got.stats);
 }
 
 TEST(EngineDiff, FuzzBatchBothEngines)

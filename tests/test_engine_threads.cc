@@ -4,7 +4,7 @@
  * These run under the tsan preset (scripts/check.sh, CI): each
  * batched pass with more than one active lane spawns one worker per
  * active lane, and the per-lane schedulers must never touch shared
- * state without the fabric's per-node scratch detour.
+ * state (the fabric counts everything per node).
  * The checks themselves are determinism checks — a data race that
  * corrupts counters shows up as a cross-engine mismatch even when
  * tsan is not watching. The last two tests keep two traced machines

@@ -64,7 +64,8 @@ class FabricTest : public ::testing::Test
         Tick t = 0;
         do {
             fabric_->tick(now_ + t++);
-        } while (t < limit && !fabric_->routersIdle());
+        } while (t < limit
+                 && !fabric_->routersIdle(fabric_->allNodes()));
         now_ += t;
         return t;
     }

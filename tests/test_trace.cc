@@ -311,37 +311,6 @@ TEST(TraceRecorder, WraparoundKeepsEveryEventInOrder)
     }
 }
 
-TEST(TraceRecorder, WindowAndComponentMaskFilter)
-{
-    TraceRecorder recorder(64);
-    CollectingSink sink;
-    recorder.addSink(&sink);
-    recorder.setWindow(10, 20);
-
-    for (Tick t = 0; t < 30; ++t) {
-        recorder.setNow(t);
-        recorder.record(TraceComponent::Pe, 0,
-                        TraceEventType::MacBusy, 0, t);
-    }
-    recorder.finish();
-    ASSERT_EQ(sink.events.size(), 10u);
-    EXPECT_EQ(sink.events.front().tick, Tick(10));
-    EXPECT_EQ(sink.events.back().tick, Tick(19));
-
-    TraceRecorder masked(64);
-    CollectingSink pe_only;
-    masked.addSink(&pe_only);
-    masked.setComponentMask(1u << unsigned(TraceComponent::Pe));
-    masked.record(TraceComponent::Router, 0,
-                  TraceEventType::FlitEnqueue);
-    masked.record(TraceComponent::Pe, 1, TraceEventType::MacBusy);
-    masked.record(TraceComponent::Vault, 2,
-                  TraceEventType::DramWord);
-    masked.finish();
-    ASSERT_EQ(pe_only.events.size(), 1u);
-    EXPECT_EQ(pe_only.events[0].component, TraceComponent::Pe);
-}
-
 TEST(TraceRecorder, WindowSamplingThinsNonExemptComponents)
 {
     TraceRecorder recorder(256);
